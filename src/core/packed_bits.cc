@@ -125,14 +125,18 @@ bool PackedBitMatrix::GetBit(int row_id, int bit) const {
   return (row(row_id)[bit >> 6] >> (bit & 63)) & 1;
 }
 
-std::vector<uint8_t> PackedBitMatrix::UnpackRow(int row_id) const {
-  const uint64_t* words = row(row_id);
-  std::vector<uint8_t> bits(static_cast<size_t>(num_bits_), 0);
-  for (int r = 0; r < num_bits_; ++r) {
+std::vector<uint8_t> PackedBitMatrix::UnpackBits(const uint64_t* words,
+                                                 int num_bits) {
+  std::vector<uint8_t> bits(static_cast<size_t>(num_bits), 0);
+  for (int r = 0; r < num_bits; ++r) {
     bits[static_cast<size_t>(r)] =
         static_cast<uint8_t>((words[r >> 6] >> (r & 63)) & 1);
   }
   return bits;
+}
+
+std::vector<uint8_t> PackedBitMatrix::UnpackRow(int row_id) const {
+  return UnpackBits(row(row_id), num_bits_);
 }
 
 int PackedBitMatrix::HammingDistance(const std::vector<uint64_t>& query,

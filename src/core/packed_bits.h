@@ -15,7 +15,7 @@ namespace gdim {
 ///
 /// The matrix carries its bit width even when it holds no rows, so query
 /// validation works for empty databases, and it supports append-only growth
-/// (the delta segment of a mutable QueryEngine).
+/// (the delta segment of a mutable serving shard).
 ///
 /// Distances computed here are bit-identical to the byte-vector reference
 /// (BinaryMappedDistance): the Hamming count is exact and the normalized form
@@ -44,12 +44,16 @@ class PackedBitMatrix {
   /// words.size() must equal num_rows * words_per_row. Padding bits beyond
   /// num_bits in each row's last word are masked to zero, so a matrix built
   /// from untrusted words (a v2 snapshot block read) still computes exact
-  /// Hamming distances. The zero-copy load path of QueryEngine::Open.
+  /// Hamming distances. The zero-copy load path of ShardedEngine::Open.
   static PackedBitMatrix FromWords(int num_rows, int num_bits,
                                    std::vector<uint64_t> words);
 
   /// Packs one 0/1 byte vector into words (query-side fingerprint packing).
   static std::vector<uint64_t> PackBits(const std::vector<uint8_t>& bits);
+
+  /// The inverse of PackBits: the first num_bits bits of `words` as a 0/1
+  /// byte vector.
+  static std::vector<uint8_t> UnpackBits(const uint64_t* words, int num_bits);
 
   /// PackBits padded to words_per_row() — the query-side form every scan
   /// kernel expects. The width must match the matrix width exactly; an

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "core/binary_db.h"
-#include "core/kernels/scan_kernel.h"
 
 namespace gdim {
 
@@ -24,73 +21,22 @@ constexpr double kRemovedScore = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-Result<QueryEngine> QueryEngine::FromIndex(PersistedIndex index,
-                                           ServeOptions options) {
-  const size_t p = index.features.size();
-  for (size_t i = 0; i < index.db_bits.size(); ++i) {
-    if (index.db_bits[i].size() != p) {
-      return Status::InvalidArgument(
-          "index row " + std::to_string(i) + " has " +
-          std::to_string(index.db_bits[i].size()) + " bits, expected " +
-          std::to_string(p));
-    }
-  }
-  PackedIndex packed;
-  packed.rows =
-      PackedBitMatrix::FromRows(index.db_bits, static_cast<int>(p));
-  packed.features = std::move(index.features);
-  packed.ids = std::move(index.ids);
-  packed.next_id = index.next_id;
-  return FromPacked(std::move(packed), options);
-}
-
-Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
-                                            ServeOptions options) {
-  const int p = static_cast<int>(index.features.size());
-  if (index.rows.num_bits() != p) {
-    return Status::InvalidArgument(
-        "packed rows are " + std::to_string(index.rows.num_bits()) +
-        " bits wide, feature dimension is " + std::to_string(p));
-  }
-  const int n = index.rows.num_rows();
-  if (!index.ids.empty()) {
-    if (index.ids.size() != static_cast<size_t>(n)) {
-      return Status::InvalidArgument("index id count does not match rows");
-    }
-    for (size_t i = 0; i < index.ids.size(); ++i) {
-      if (index.ids[i] < 0 ||
-          (i > 0 && index.ids[i] <= index.ids[i - 1])) {
-        return Status::InvalidArgument("index ids must be strictly ascending");
-      }
-    }
-    // next_id_ = ids.back() + 1 must stay representable.
-    if (index.ids.back() == std::numeric_limits<int>::max()) {
-      return Status::InvalidArgument("index id out of range");
-    }
-  }
-  const int64_t min_next_id = index.ids.empty()
-                                  ? static_cast<int64_t>(n)
-                                  : int64_t{index.ids.back()} + 1;
-  if (index.next_id >= 0 && index.next_id < min_next_id) {
-    return Status::InvalidArgument("index next_id must exceed every id");
-  }
+Result<QueryEngine> QueryEngine::FromPacked(PackedBitMatrix base,
+                                            std::vector<int> ids,
+                                            int next_id,
+                                            const PersistedIvf* ivf,
+                                            const ServeOptions& options) {
+  const int p = base.num_bits();
+  const int n = base.num_rows();
+  GDIM_DCHECK(ids.size() == static_cast<size_t>(n));
   QueryEngine engine;
   engine.options_ = options;
-  engine.base_ =
-      std::make_shared<const PackedBitMatrix>(std::move(index.rows));
+  engine.base_ = std::make_shared<const PackedBitMatrix>(std::move(base));
   engine.delta_ = PackedBitMatrix::WithWidth(p);
   engine.tombstones_.assign(static_cast<size_t>(n), 0);
   engine.alive_ = n;
-  if (index.ids.empty()) {
-    engine.row_ids_.resize(static_cast<size_t>(n));
-    std::iota(engine.row_ids_.begin(), engine.row_ids_.end(), 0);
-  } else {
-    engine.row_ids_ = std::move(index.ids);
-  }
-  // Resume the persisted id counter when present (so ids of removed graphs
-  // are never re-issued after a reload); otherwise derive it.
-  engine.next_id_ =
-      index.next_id >= 0 ? index.next_id : static_cast<int>(min_next_id);
+  engine.row_ids_ = std::move(ids);
+  engine.next_id_ = next_id;
   // The inverted lists only serve the prefilter; skip the O(n·p) pass and
   // their memory when it is disabled.
   if (options.containment_prefilter) {
@@ -104,15 +50,15 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
       }
     }
   }
-  if (index.ivf.has_value()) {
+  if (ivf != nullptr) {
     // Adopt the persisted IVF layout instead of re-clustering: reload skips
     // the O(n·sqrt(n)) Build. Snapshot postings are in external-id space
-    // and may span a different shard partition than this engine's, so keep
-    // exactly the buckets holding ids this engine owns, mapped to local
-    // physical rows. Relative bucket order is preserved, so at an unchanged
-    // shard count the probe's (distance, bucket id) ranking reproduces the
-    // snapshotted engine's exactly.
-    const PersistedIvf& persisted = *index.ivf;
+    // and may span a different shard partition than this segment's, so
+    // keep exactly the buckets holding ids this segment owns, mapped to
+    // local physical rows. Relative bucket order is preserved, so at an
+    // unchanged shard count the probe's (distance, bucket id) ranking
+    // reproduces the snapshotted segment's exactly.
+    const PersistedIvf& persisted = *ivf;
     if (persisted.num_bits != p) {
       return Status::InvalidArgument("IVF width does not match the index");
     }
@@ -167,41 +113,11 @@ Result<QueryEngine> QueryEngine::FromPacked(PackedIndex index,
     // refreshed fingerprints (zero stale buckets by construction).
     engine.ivf_ = IvfIndex::Build(*engine.base_, options.ivf_buckets);
   }
-  if (index.meta.has_value()) {
-    // Resume the persisted mutation epoch so epoch-keyed consumers (the
-    // result cache) never mistake a pre-restart answer for a fresh one.
-    engine.epoch_ = index.meta->epoch;
-  }
-  engine.mapper_ = FeatureMapper(std::move(index.features));
   return engine;
-}
-
-Result<QueryEngine> QueryEngine::Open(const std::string& index_path,
-                                      ServeOptions options) {
-  // The packed reader adopts a v2 snapshot's word block as the base segment
-  // in one block read — cold start never round-trips through byte rows.
-  Result<PackedIndex> index = ReadIndexFilePacked(index_path);
-  if (!index.ok()) return index.status();
-  return FromPacked(std::move(index).value(), options);
-}
-
-void QueryEngine::AdoptGeneration(QueryEngine next) {
-  const uint64_t floor = epoch_ + 1;
-  *this = std::move(next);
-  if (epoch_ < floor) epoch_ = floor;
 }
 
 void QueryEngine::RaiseEpochToAtLeast(uint64_t epoch) {
   if (epoch_ < epoch) epoch_ = epoch;
-}
-
-Result<int> QueryEngine::Insert(const Graph& graph) {
-  return InsertMapped(mapper_.Map(graph));
-}
-
-Result<int> QueryEngine::InsertMapped(
-    const std::vector<uint8_t>& fingerprint) {
-  return InsertMappedWithId(fingerprint, next_id_);
 }
 
 Result<int> QueryEngine::InsertMappedWithId(
@@ -302,31 +218,6 @@ void QueryEngine::Compact() {
   }
 }
 
-std::vector<int> QueryEngine::alive_ids() const {
-  std::vector<int> ids;
-  ids.reserve(static_cast<size_t>(alive_));
-  for (int row = 0; row < total_rows(); ++row) {
-    if (tombstones_[static_cast<size_t>(row)] == 0) {
-      ids.push_back(row_ids_[static_cast<size_t>(row)]);
-    }
-  }
-  return ids;
-}
-
-PersistedIndex QueryEngine::ToPersistedIndex() const {
-  PersistedIndex index;
-  index.features = mapper_.features();
-  index.db_bits.reserve(static_cast<size_t>(alive_));
-  for (int row = 0; row < total_rows(); ++row) {
-    if (tombstones_[static_cast<size_t>(row)] == 0) {
-      index.db_bits.push_back(RowBits(row));
-    }
-  }
-  index.ids = alive_ids();
-  index.next_id = next_id_;
-  return index;
-}
-
 std::vector<std::pair<int, const uint64_t*>> QueryEngine::LiveRowWords()
     const {
   std::vector<std::pair<int, const uint64_t*>> live;
@@ -392,39 +283,6 @@ PersistedIvf PersistIvf(const IvfIndex& ivf,
   return persisted;
 }
 
-Status QueryEngine::Snapshot(const std::string& path,
-                             IndexFormat format) const {
-  if (format == IndexFormat::kV2Binary) {
-    // Stream the live rows' packed words straight from the segments — no
-    // per-row byte materialization, no unpack/repack round trip.
-    const std::vector<std::pair<int, const uint64_t*>> live = LiveRowWords();
-    return WriteIndexFileV2Words(
-        mapper_.features(), static_cast<uint64_t>(live.size()),
-        static_cast<uint64_t>(base_->words_per_row()),
-        [&](uint64_t i) { return live[i].second; }, alive_ids(), next_id_,
-        path);
-  }
-  if (format == IndexFormat::kV3Sectioned) {
-    // The single-engine v3 snapshot carries DIMS + META + IVFX. The engine
-    // tracks no reindex generation of its own (that is ShardedEngine state),
-    // so META records generation 0 alongside the mutation epoch.
-    const std::vector<std::pair<int, const uint64_t*>> live = LiveRowWords();
-    const PersistedIvf ivf = PersistIvf(ivf_, tombstones_, row_ids_);
-    PersistedMeta meta;
-    meta.generation = 0;
-    meta.epoch = epoch_;
-    V3Sections sections;
-    sections.meta = &meta;
-    sections.ivf = &ivf;
-    return WriteIndexFileV3Words(
-        mapper_.features(), static_cast<uint64_t>(live.size()),
-        static_cast<uint64_t>(base_->words_per_row()),
-        [&](uint64_t i) { return live[i].second; }, alive_ids(), next_id_,
-        sections, path);
-  }
-  return WriteIndexFile(ToPersistedIndex(), path, format);
-}
-
 int QueryEngine::FindLiveRow(int id) const {
   const auto it = std::lower_bound(row_ids_.begin(), row_ids_.end(), id);
   if (it == row_ids_.end() || *it != id) return -1;
@@ -441,7 +299,13 @@ std::vector<uint8_t> QueryEngine::RowBits(int row) const {
 std::vector<int> QueryEngine::PrefilterCandidateRows(
     const std::vector<uint8_t>& fingerprint) const {
   GDIM_DCHECK(options_.containment_prefilter);
-  return PrefilterCandidates(fingerprint);
+  // Collect the inverted lists of the set bits, smallest support first so
+  // the running intersection shrinks as fast as possible.
+  std::vector<const std::vector<int>*> lists;
+  for (size_t r = 0; r < fingerprint.size(); ++r) {
+    if (fingerprint[r] != 0) lists.push_back(&supports_[r]);
+  }
+  return IntersectSupports(std::move(lists));
 }
 
 Ranking QueryEngine::QueryMappedCandidates(
@@ -465,17 +329,6 @@ Ranking QueryEngine::QueryMappedCandidates(
   return top;
 }
 
-std::vector<int> QueryEngine::PrefilterCandidates(
-    const std::vector<uint8_t>& fingerprint) const {
-  // Collect the inverted lists of the set bits, smallest support first so
-  // the running intersection shrinks as fast as possible.
-  std::vector<const std::vector<int>*> lists;
-  for (size_t r = 0; r < fingerprint.size(); ++r) {
-    if (fingerprint[r] != 0) lists.push_back(&supports_[r]);
-  }
-  return IntersectSupports(std::move(lists));
-}
-
 void QueryEngine::ScoreRows(const std::vector<uint64_t>& packed_query,
                             const std::vector<int>& rows,
                             std::vector<double>* scores) const {
@@ -492,17 +345,6 @@ void QueryEngine::ScoreRows(const std::vector<uint64_t>& packed_query,
   }
 }
 
-Ranking QueryEngine::Query(const Graph& query, const QueryOptions& options,
-                           ServeQueryStats* stats) const {
-  WallTimer timer;
-  // Stage 1: fingerprint the query onto the selected dimension, then hand
-  // the mapped vector to the scan stages.
-  Ranking top = QueryMapped(mapper_.Map(query), options, stats);
-  // The mapped path timed only stages 2–3; charge the VF2 mapping too.
-  if (stats != nullptr) stats->latency_ms = timer.Millis();
-  return top;
-}
-
 Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
                                  const QueryOptions& options,
                                  ServeQueryStats* stats) const {
@@ -515,30 +357,16 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
   for (uint8_t b : fingerprint) features_on += b != 0 ? 1 : 0;
   const std::vector<uint64_t> packed_query = base_->PackQuery(fingerprint);
 
-  // Stage 2: optional containment prefilter over the inverted lists.
-  bool prefiltered = false;
-  std::vector<int> candidates;
-  if (options.scan_mode == ScanMode::kAuto &&
-      options_.containment_prefilter && features_on > 0) {
-    candidates = PrefilterCandidates(fingerprint);
-    // Take the narrowed path only when it actually narrows: some candidate
-    // survived (an empty intersection is a degenerate "scan of zero rows",
-    // not a narrowed scan — the documented fallback applies, also at
-    // k == 0), enough candidates to answer, and fewer than a full scan of
-    // the live rows would touch.
-    prefiltered = !candidates.empty() &&
-                  static_cast<int>(candidates.size()) >= k &&
-                  static_cast<int>(candidates.size()) < alive_;
-  }
-
   // Approximate stage 2 (MODE=approx): the IVF probe collects the live
   // members of the nprobe nearest centroid buckets, and stage 3 then
   // exact-scores exactly those rows through the same machinery as the
   // prefiltered path. The answer differs from kFull only by rows the probe
   // pruned — at NPROBE=all nothing is pruned, the pool is precisely the
-  // live rows, and the ranking is bit-identical to a full scan.
+  // live rows, and the ranking is bit-identical to a full scan. Any other
+  // mode scans every physical row: the prefilter decision is the owner's.
   const bool approx = options.scan_mode == ScanMode::kApprox;
   double ivf_probe_usec = 0.0;
+  std::vector<int> candidates;
   if (approx) {
     const int nprobe =
         options.nprobe > 0 ? options.nprobe : ivf_.default_nprobe();
@@ -547,13 +375,13 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
     ivf_probe_usec = probe_timer.Micros();
   }
 
-  // Stage 3: popcount distance scan (narrowed or full) + deterministic rank.
+  // Stage 3: popcount distance scan (probed or full) + deterministic rank.
   // Rankings are computed over physical rows, then mapped to external ids;
   // row order is ascending-id, so the score-then-id tie-break is preserved.
   Ranking top;
   int scanned;
   std::vector<double> scores;
-  if (prefiltered || approx) {
+  if (approx) {
     ScoreRows(packed_query, candidates, &scores);
     top = TopKCandidates(candidates, scores, k);
     scanned = static_cast<int>(candidates.size());
@@ -577,7 +405,7 @@ Ranking QueryEngine::QueryMapped(const std::vector<uint8_t>& fingerprint,
     stats->latency_ms = timer.Millis();
     stats->features_on = features_on;
     stats->scanned = scanned;
-    stats->prefiltered = prefiltered;
+    stats->prefiltered = false;
     stats->approx = approx;
     stats->rows_pruned = approx ? alive_ - scanned : 0;
     stats->ivf_probe_usec = ivf_probe_usec;
@@ -689,62 +517,6 @@ std::vector<Ranking> QueryEngine::QueryMappedTile(
       s.prefiltered = false;
     }
   }
-  return results;
-}
-
-std::vector<Ranking> QueryEngine::QueryBatch(
-    const GraphDatabase& queries, const QueryOptions& options,
-    ServeBatchReport* report,
-    std::vector<ServeQueryStats>* per_query) const {
-  WallTimer batch_timer;
-  const int n = static_cast<int>(queries.size());
-  std::vector<Ranking> results(queries.size());
-  std::vector<ServeQueryStats> stats(queries.size());
-  // Stage 1 for the whole batch in one parallel pass; the scans below then
-  // touch packed words only.
-  const std::vector<std::vector<uint8_t>> fingerprints =
-      mapper_.MapAll(queries, options_.threads);
-  if (options.scan_mode == ScanMode::kApprox ||
-      (options.scan_mode == ScanMode::kAuto &&
-       options_.containment_prefilter)) {
-    // The stage-2 decision (prefilter intersection or IVF probe) yields a
-    // per-query candidate pool, so the batch cannot share row passes; keep
-    // the per-query path.
-    ParallelFor(
-        0, n,
-        [&](int i) {
-          results[static_cast<size_t>(i)] =
-              QueryMapped(fingerprints[static_cast<size_t>(i)], options,
-                          &stats[static_cast<size_t>(i)]);
-        },
-        options_.threads);
-  } else {
-    // Block-tiled multi-query scan: tiles of tile_width() queries share
-    // every row-block pass. Tile boundaries never affect results — scores
-    // are bit-identical for every kernel and tile split.
-    const int tile = ActiveScanKernel().tile_width();
-    const int num_tiles = (n + tile - 1) / tile;
-    ParallelFor(
-        0, num_tiles,
-        [&](int t) {
-          const int begin = t * tile;
-          const int count = std::min(tile, n - begin);
-          std::vector<ServeQueryStats> tile_stats;
-          std::vector<Ranking> tile_results = QueryMappedTile(
-              fingerprints.data() + begin, count, options, &tile_stats);
-          for (int j = 0; j < count; ++j) {
-            results[static_cast<size_t>(begin + j)] =
-                std::move(tile_results[static_cast<size_t>(j)]);
-            stats[static_cast<size_t>(begin + j)] =
-                tile_stats[static_cast<size_t>(j)];
-          }
-        },
-        options_.threads);
-  }
-  const double wall_ms = batch_timer.Millis();
-
-  if (report != nullptr) FillServeBatchReport(wall_ms, stats, report);
-  if (per_query != nullptr) *per_query = std::move(stats);
   return results;
 }
 

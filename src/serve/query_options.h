@@ -5,16 +5,16 @@
 
 namespace gdim {
 
-/// Stage-2 policy for a mapped query. kAuto applies the serving engine's own
-/// narrowed-vs-full fallback — the single-engine default. A sharded owner
-/// instead decides ONCE over global candidate counts and forces every shard
-/// onto the same side: left to their local heuristics, shards diverge from
-/// the single-engine answer (a shard holding fewer than k candidates would
-/// widen to a full scan of rows the single engine's narrowed scan never
-/// touches). The narrowed side of the forced decision goes through
-/// QueryEngine::QueryMappedCandidates with the rows the owner already
-/// collected; kFull is the forced full-scan side, and also what the wire
-/// protocol's MODE=full requests. kApprox (MODE=approx) trades exactness
+/// Stage-2 policy for a mapped query. kAuto applies the engine's
+/// narrowed-vs-full fallback when the containment prefilter is on: the
+/// sharded engine decides ONCE over global candidate counts and forces
+/// every shard onto the same side — left to local heuristics, shards would
+/// diverge from the unsharded answer (a shard holding fewer than k
+/// candidates would widen to a full scan of rows the unsharded narrowed
+/// scan never touches). The narrowed side goes through each shard's
+/// QueryMappedCandidates with the rows the engine already collected; kFull
+/// is the forced full-scan side, and also what the wire protocol's
+/// MODE=full requests. kApprox (MODE=approx) trades exactness
 /// for scan cost: the engine probes the `nprobe` nearest IVF centroid
 /// buckets (src/index/ivf_index.h) and exact-scores only their members —
 /// the answer may miss rows the probe pruned, and nothing else differs.
@@ -30,7 +30,7 @@ enum class ScanMode {
 inline constexpr int kNprobeAll = std::numeric_limits<int>::max();
 
 /// Per-query knobs, threaded through every query entry point of
-/// QueryEngine, ShardedEngine, and BatchExecutor — the one options struct
+/// ShardedEngine, its shards, and BatchExecutor — the one options struct
 /// behind the former positional (k, ScanMode) parameter zoo, and the
 /// extension point future per-query knobs (kernel tile hints) land in
 /// without touching any signature. Construct with designated

@@ -52,12 +52,13 @@ void NetServer::Stop() {
 
 void NetServer::AcceptLoop() {
   for (;;) {
-    const int fd = ::accept(listen_fd_.get(), nullptr, nullptr);
-    if (fd < 0) {
+    Result<ScopedFd> accepted = AcceptTcp(listen_fd_.get());
+    if (!accepted.ok()) {
       MutexLock lock(&mu_);
       if (stopping_) return;
       continue;  // transient accept failure (EINTR, aborted handshake)
     }
+    const int fd = accepted->release();
     bool reject = false;
     {
       MutexLock lock(&mu_);

@@ -28,6 +28,14 @@ Result<sockaddr_in> MakeAddr(const std::string& host, int port) {
   return addr;
 }
 
+/// Request/response lines are tiny; Nagle would hold a reply (or a
+/// pipelined request) back until the peer's delayed ACK — tens of
+/// milliseconds. Both ends of every connection turn it off.
+void DisableNagle(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 void ScopedFd::reset() {
@@ -73,10 +81,14 @@ Result<ScopedFd> ConnectTcp(const std::string& host, int port) {
     return Status::IoError(
         ErrnoMessage("connect " + host + ":" + std::to_string(port)));
   }
-  // Request/response lines are tiny; Nagle would add 40ms stalls to the
-  // closed-loop latency measurement.
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  DisableNagle(fd.get());
+  return fd;
+}
+
+Result<ScopedFd> AcceptTcp(int listen_fd) {
+  ScopedFd fd(::accept(listen_fd, nullptr, nullptr));
+  if (!fd.valid()) return Status::IoError(ErrnoMessage("accept"));
+  DisableNagle(fd.get());
   return fd;
 }
 

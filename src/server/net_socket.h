@@ -53,8 +53,12 @@ class ScopedFd {
 Result<ScopedFd> ListenTcp(const std::string& host, int port, int backlog,
                            int* bound_port);
 
-/// Connects to host:port (numeric IPv4 only).
+/// Connects to host:port (numeric IPv4 only). TCP_NODELAY is set.
 Result<ScopedFd> ConnectTcp(const std::string& host, int port);
+
+/// Accepts one connection on a listening socket; TCP_NODELAY is set, as on
+/// the connecting side. IoError on failure (errno names the cause).
+Result<ScopedFd> AcceptTcp(int listen_fd);
 
 /// Writes all of data (handles short writes; suppresses SIGPIPE so a peer
 /// hangup surfaces as a Status, not a process kill).

@@ -16,7 +16,7 @@ namespace {
 
 /// Deterministic k-way gather: every partial is sorted ascending by
 /// (score, id), ids are globally unique, so repeatedly taking the smallest
-/// head reproduces the single-engine total order exactly.
+/// head reproduces the unsharded total order exactly.
 Ranking MergeTopK(const std::vector<Ranking>& partials, int k) {
   Ranking out;
   if (k <= 0) return out;
@@ -40,6 +40,31 @@ Ranking MergeTopK(const std::vector<Ranking>& partials, int k) {
     out.push_back(partials[best][cursor[best]++]);
   }
   return out;
+}
+
+/// Concatenates the shards' live rows (each ascending by id) and restores
+/// the global ascending-id order. Works over live shards and frozen
+/// captures alike.
+template <typename Shard>
+std::vector<std::pair<int, const uint64_t*>> MergeLiveRows(
+    const std::vector<Shard>& shards) {
+  std::vector<std::pair<int, const uint64_t*>> live;
+  for (const Shard& shard : shards) {
+    const auto shard_live = shard.LiveRowWords();
+    live.insert(live.end(), shard_live.begin(), shard_live.end());
+  }
+  std::sort(live.begin(), live.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return live;
+}
+
+/// The id column of MergeLiveRows' output.
+std::vector<int> IdsOf(
+    const std::vector<std::pair<int, const uint64_t*>>& live) {
+  std::vector<int> ids;
+  ids.reserve(live.size());
+  for (const auto& row : live) ids.push_back(row.first);
+  return ids;
 }
 
 }  // namespace
@@ -76,9 +101,9 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
         " bits wide, feature dimension is " + std::to_string(p));
   }
   const int n = index.rows.num_rows();
-  // Global id validation up front: per-shard validation only sees ascending
-  // subsequences, so e.g. a globally unsorted id list could split into
-  // shards that each look fine.
+  // Id validation happens here, globally, and nowhere else: per-shard
+  // checks would only see ascending subsequences, so e.g. a globally
+  // unsorted id list could split into shards that each look fine.
   if (!index.ids.empty()) {
     if (index.ids.size() != static_cast<size_t>(n)) {
       return Status::InvalidArgument("index id count does not match rows");
@@ -122,19 +147,15 @@ Result<ShardedEngine> ShardedEngine::FromPacked(PackedIndex index,
   }
   engine.shards_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    PackedIndex shard;
-    shard.features = index.features;  // each shard owns its mapper copy
-    shard.rows = std::move(shard_rows[static_cast<size_t>(s)]);
-    shard.ids = std::move(shard_ids[static_cast<size_t>(s)]);
     // The global counter exceeds every id, so it is a valid per-shard
-    // counter too; it keeps reload-then-insert from re-issuing any id.
-    shard.next_id = next_id;
-    // A persisted v3 IVF layout is handed to every shard; each keeps
-    // exactly the buckets holding ids of its partition (the postings are
+    // cursor too; it keeps reload-then-insert from re-issuing any id. A
+    // persisted v3 IVF layout is handed to every shard; each keeps exactly
+    // the buckets holding ids of its partition (the postings are
     // external-id, so this works at any shard count).
-    shard.ivf = index.ivf;
-    Result<QueryEngine> built =
-        QueryEngine::FromPacked(std::move(shard), options.serve);
+    Result<QueryEngine> built = QueryEngine::FromPacked(
+        std::move(shard_rows[static_cast<size_t>(s)]),
+        std::move(shard_ids[static_cast<size_t>(s)]), next_id,
+        index.ivf.has_value() ? &*index.ivf : nullptr, options.serve);
     if (!built.ok()) return built.status();
     engine.shards_.push_back(std::move(built).value());
   }
@@ -194,11 +215,6 @@ int ShardedEngine::max_shard_ivf_buckets() const {
     buckets = std::max(buckets, shard.ivf_buckets());
   }
   return buckets;
-}
-
-const QueryEngine& ShardedEngine::shard(int s) const {
-  GDIM_CHECK(s >= 0 && s < num_shards());
-  return shards_[static_cast<size_t>(s)];
 }
 
 uint64_t ShardedEngine::epoch() const {
@@ -264,36 +280,24 @@ void ShardedEngine::SwapGeneration(ShardedEngine next) {
 }
 
 std::vector<int> ShardedEngine::alive_ids() const {
-  std::vector<int> ids;
-  ids.reserve(static_cast<size_t>(num_graphs()));
-  for (const QueryEngine& shard : shards_) {
-    const std::vector<int> shard_ids = shard.alive_ids();
-    ids.insert(ids.end(), shard_ids.begin(), shard_ids.end());
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
+  return IdsOf(LiveRowWords());
+}
+
+std::vector<std::pair<int, const uint64_t*>> ShardedEngine::LiveRowWords()
+    const {
+  return MergeLiveRows(shards_);
 }
 
 PersistedIndex ShardedEngine::ToPersistedIndex() const {
-  // Merge the shards' live rows back into ascending-id order.
-  std::vector<std::pair<int, std::vector<uint8_t>>> rows;
-  rows.reserve(static_cast<size_t>(num_graphs()));
-  for (const QueryEngine& shard : shards_) {
-    PersistedIndex part = shard.ToPersistedIndex();
-    for (size_t i = 0; i < part.db_bits.size(); ++i) {
-      rows.emplace_back(part.ids[i], std::move(part.db_bits[i]));
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::vector<std::pair<int, const uint64_t*>> live = LiveRowWords();
   PersistedIndex index;
   index.features = mapper_.features();
-  index.db_bits.reserve(rows.size());
-  index.ids.reserve(rows.size());
-  for (auto& [id, bits] : rows) {
-    index.ids.push_back(id);
-    index.db_bits.push_back(std::move(bits));
+  index.db_bits.reserve(live.size());
+  for (const auto& [id, words] : live) {
+    index.db_bits.push_back(
+        PackedBitMatrix::UnpackBits(words, num_features()));
   }
+  index.ids = IdsOf(live);
   index.next_id = next_id_;
   return index;
 }
@@ -307,22 +311,13 @@ Status ShardedEngine::Snapshot(const std::string& path,
   }
   if (format == IndexFormat::kV2Binary) {
     // Compatibility escape hatch: the merged live rows in global id order,
-    // word-level, without the v3 sections.
-    const FrozenShardedState frozen = Freeze();
-    std::vector<std::pair<int, const uint64_t*>> live;
-    for (const FrozenEngineState& shard : frozen.shards) {
-      const auto shard_live = shard.LiveRowWords();
-      live.insert(live.end(), shard_live.begin(), shard_live.end());
-    }
-    std::sort(live.begin(), live.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<int> ids;
-    ids.reserve(live.size());
-    for (const auto& row : live) ids.push_back(row.first);
+    // word-level, without the v3 sections. The writer role keeps the row
+    // pointers valid for the whole write.
+    const std::vector<std::pair<int, const uint64_t*>> live = LiveRowWords();
     return WriteIndexFileV2Words(
-        frozen.features, static_cast<uint64_t>(live.size()),
-        static_cast<uint64_t>(frozen.words_per_row),
-        [&](uint64_t i) { return live[i].second; }, ids, frozen.next_id,
+        mapper_.features(), static_cast<uint64_t>(live.size()),
+        static_cast<uint64_t>(shards_[0].words_per_row()),
+        [&](uint64_t i) { return live[i].second; }, IdsOf(live), next_id_,
         path);
   }
   return WriteIndexFile(ToPersistedIndex(), path, format);
@@ -347,18 +342,9 @@ FrozenShardedState ShardedEngine::Freeze() const {
 Status ShardedEngine::WriteSnapshot(const FrozenShardedState& frozen,
                                     const std::string& path) {
   // Stream every frozen shard's packed rows in global id order — word-level
-  // pointers into the capture's segments, no byte materialization, exactly
-  // like the single-engine snapshot path.
-  std::vector<std::pair<int, const uint64_t*>> live;
-  for (const FrozenEngineState& shard : frozen.shards) {
-    const auto shard_live = shard.LiveRowWords();
-    live.insert(live.end(), shard_live.begin(), shard_live.end());
-  }
-  std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<int> ids;
-  ids.reserve(live.size());
-  for (const auto& row : live) ids.push_back(row.first);
+  // pointers into the capture's segments, no byte materialization.
+  const std::vector<std::pair<int, const uint64_t*>> live =
+      MergeLiveRows(frozen.shards);
 
   PersistedMeta meta;
   meta.generation = frozen.generation;
@@ -392,7 +378,7 @@ Status ShardedEngine::WriteSnapshot(const FrozenShardedState& frozen,
   return WriteIndexFileV3Words(
       frozen.features, static_cast<uint64_t>(live.size()),
       static_cast<uint64_t>(frozen.words_per_row),
-      [&](uint64_t i) { return live[i].second; }, ids, frozen.next_id,
+      [&](uint64_t i) { return live[i].second; }, IdsOf(live), frozen.next_id,
       sections, path);
 }
 
@@ -406,9 +392,9 @@ Ranking ShardedEngine::ScatterGather(const std::vector<uint8_t>& fingerprint,
 
   // Stage-2 policy is decided ONCE, over global counts, then forced onto
   // every shard. Left to their per-shard fallback heuristics the shards
-  // diverge from the single engine: a shard locally holding fewer than k
-  // candidates would widen to a full scan the single engine never runs.
-  // The global rule is exactly the single engine's (some candidate
+  // diverge from the unsharded answer: a shard locally holding fewer than
+  // k candidates would widen to a full scan an unsharded engine never
+  // runs. The global rule is the unsharded one (some candidate
   // survived, enough to fill k, strictly narrower than a full scan), and
   // the candidate rows collected here feed straight into the narrowed
   // scans — one intersection pass per shard total.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -17,16 +18,16 @@
 
 namespace gdim {
 
-/// Knobs for the sharded serving layer.
+/// Knobs for the serving engine.
 struct ShardedOptions {
-  /// Number of QueryEngine shards; must be >= 1. Results are bit-identical
-  /// for every shard count (the gather merge reproduces the single-engine
-  /// score-then-id total order exactly).
+  /// Number of QueryEngine shards; must be >= 1 (1 is the single-node
+  /// case). Results are bit-identical for every shard count (the gather
+  /// merge reproduces the unsharded score-then-id total order exactly).
   int num_shards = 1;
 
-  /// Per-shard serving options. `serve.threads` also sizes the scatter pool
-  /// of Query()/QueryBatch(); the prefilter flag is passed through to every
-  /// shard.
+  /// Serving options. `serve.threads` sizes the scatter pool of
+  /// Query()/QueryBatch(); the prefilter flag and IVF bucket count are
+  /// passed through to every shard.
   ServeOptions serve;
 };
 
@@ -51,11 +52,21 @@ struct FrozenShardedState {
   std::optional<FrozenGraphSet> store;
 };
 
-/// A horizontally partitioned QueryEngine: the database is hash-partitioned
-/// across N shards by stable external id (shard of id = id % N), and a top-k
-/// query is answered by scattering the mapped fingerprint to every shard in
-/// parallel and gather-merging the per-shard top-k lists with the same
-/// ascending score-then-id total order the single engine uses.
+/// The online query-serving engine: loads a built index (feature dimension +
+/// mapped database vectors) and answers top-k queries through a three-stage
+/// hot path —
+///   1. fingerprint the query onto the selected dimension (VF2 matching),
+///   2. optionally prefilter candidates via the feature inverted lists,
+///   3. popcount-Hamming distance scan over the packed bit matrices.
+/// No MCS computation and no graph algorithm other than stage 1 runs at
+/// query time, which is the paper's whole online-search proposition.
+///
+/// The database is hash-partitioned across N QueryEngine shard segments by
+/// stable external id (shard of id = id % N; N = 1 is the single-node
+/// case). The engine owns the one FeatureMapper: a query is fingerprinted
+/// once, the mapped vector is scattered to every shard in parallel, and the
+/// per-shard top-k lists are gather-merged in ascending score-then-id
+/// order.
 ///
 /// Invariants:
 ///  - External ids are global and stable: the sharded engine owns one id
@@ -63,30 +74,32 @@ struct FrozenShardedState {
 ///    including reloading with a *different* shard count — preserves every
 ///    id (the partition function is a pure function of id and N).
 ///  - Bit-identical answers: for any shard count and any thread count,
-///    Query/QueryBatch return exactly the ids and scores a single
-///    QueryEngine over the same live database returns, before and after any
-///    interleaved insert/remove/compact sequence. Each shard's top-k is a
+///    Query/QueryBatch return exactly the ids and scores of
+///    TopK(MappedRanking(...)) over the same live database, before and
+///    after any interleaved insert/remove/compact sequence (with the
+///    prefilter on: exactly a 1-shard engine's). Each shard's top-k is a
 ///    superset of the global top-k restricted to that shard, and the k-way
-///    merge breaks ties by id just like the single-engine ranking.
+///    merge breaks ties by id just like the unsharded ranking.
 ///
-/// Like QueryEngine, mutations are not thread-safe: callers must not run
-/// Insert/Remove/Compact concurrently with each other or with queries. The
-/// contract is compiler-checked: every mutating method (and Freeze)
-/// REQUIRES writer_role(), acquired once by the single writer — the
-/// BatchExecutor's dispatcher thread in production, a ScopedRole in
-/// single-threaded tests/tools. The per-shard QueryEngine roles are
-/// subsumed: shards are private and reachable only through this engine, so
-/// the implementation asserts each shard's role under its own.
+/// Mutations are not thread-safe: callers must not run Insert/Remove/
+/// Compact concurrently with each other or with queries. The contract is
+/// compiler-checked: every mutating method (and Freeze) REQUIRES
+/// writer_role(), acquired once by the single writer — the BatchExecutor's
+/// dispatcher thread in production, a ScopedRole in single-threaded
+/// tests/tools. The per-shard roles are subsumed: shards are private and
+/// reachable only through this engine, so the implementation asserts each
+/// shard's role under its own.
 class ShardedEngine {
  public:
   /// Partitions the persisted index across options.num_shards shards.
   /// Row ids (explicit, or positional when the index has no id block)
-  /// determine placement; validation mirrors QueryEngine::FromIndex.
+  /// determine placement. Validates row widths, then as FromPacked.
   static Result<ShardedEngine> FromIndex(PersistedIndex index,
                                          ShardedOptions options = {});
 
   /// FromIndex over an index already in the packed scan layout: shard rows
-  /// are split with word-level copies, never through byte vectors. v3
+  /// are split with word-level copies, never through byte vectors. Ids must
+  /// be strictly ascending and next_id must exceed every id. v3
   /// sections are adopted when present: every shard projects the persisted
   /// IVF layout onto its own partition (skipping the rebuild), and META
   /// restores the dimension generation and raises the mutation epoch to at
@@ -126,8 +139,6 @@ class ShardedEngine {
   int max_shard_ivf_buckets() const;
   /// The next external id this engine would assign (the global sequence).
   int next_id() const { return next_id_; }
-  /// Shard observability (tests, STATS reporting).
-  const QueryEngine& shard(int s) const;
 
   /// How many dimension generations this engine has adopted: 0 for the
   /// load-time generation, +1 per SwapGeneration. Exposed as the
@@ -147,11 +158,12 @@ class ShardedEngine {
   }
 
   /// Inserts a graph: assigns the next global id, fingerprints once, and
-  /// appends to the owning shard. Returns the stable external id — the same
-  /// id a single QueryEngine would have assigned.
+  /// appends to the owning shard. Returns the stable external id, the same
+  /// for every shard count.
   Result<int> Insert(const Graph& graph) GDIM_REQUIRES(writer_role_);
 
-  /// Insert for callers that already hold the mapped fingerprint.
+  /// Insert for callers that already hold the mapped fingerprint (bulk
+  /// loads, benchmarks); width must equal num_features().
   Result<int> InsertMapped(const std::vector<uint8_t>& fingerprint)
       GDIM_REQUIRES(writer_role_);
 
@@ -180,10 +192,14 @@ class ShardedEngine {
   /// External ids of the live graphs across all shards, ascending.
   std::vector<int> alive_ids() const;
 
-  /// The equivalent single-engine database: live fingerprints and ids in
-  /// ascending-id order plus the global id counter. A QueryEngine (or a
-  /// ShardedEngine of any shard count) built from this answers queries
-  /// bit-identically.
+  /// Live rows of every shard in ascending external id order as (id, packed
+  /// word pointer) pairs; each pointer addresses ceil(num_features() / 64)
+  /// words and stays valid until the next mutation.
+  std::vector<std::pair<int, const uint64_t*>> LiveRowWords() const;
+
+  /// The equivalent database: live fingerprints and ids in ascending-id
+  /// order plus the global id counter. An engine of any shard count built
+  /// from this answers queries bit-identically.
   PersistedIndex ToPersistedIndex() const;
 
   /// Writes the merged live state to one index file, shard-count
@@ -226,14 +242,17 @@ class ShardedEngine {
   Ranking Query(const Graph& query, const QueryOptions& options,
                 ServeQueryStats* stats = nullptr) const;
 
-  /// Query for a pre-mapped fingerprint (width must be num_features()).
+  /// Query for a pre-mapped fingerprint (width must be num_features()). With
+  /// kAuto, identical to Query() on a graph with this fingerprint.
   Ranking QueryMapped(const std::vector<uint8_t>& fingerprint,
                       const QueryOptions& options,
                       ServeQueryStats* stats = nullptr) const;
 
   /// Answers a whole batch: one MapAll fingerprinting pass, then the same
-  /// scan path as QueryMappedBatch. Deterministic for any thread count and
-  /// bit-identical for every scan kernel.
+  /// scan path as QueryMappedBatch. results[i] corresponds to queries[i];
+  /// deterministic for any thread count and bit-identical for every scan
+  /// kernel. Optional per-query stats (resized to the batch) and an
+  /// aggregate report.
   std::vector<Ranking> QueryBatch(
       const GraphDatabase& queries, const QueryOptions& options,
       ServeBatchReport* report = nullptr,
@@ -277,8 +296,7 @@ class ShardedEngine {
   ShardedOptions options_;
   FeatureMapper mapper_{GraphDatabase{}};
   std::vector<QueryEngine> shards_;
-  /// The global id sequence; mirrors what a single engine's counter would
-  /// be after the same build + mutation history.
+  /// The global id sequence, shared by every shard; see next_id().
   int next_id_ = 0;
   /// Dimension generations adopted; see generation().
   uint64_t generation_ = 0;

@@ -161,7 +161,7 @@ TEST(BatchExecutorTest, MutationsAreFifoWithQueries) {
 
   const std::string path = ::testing::TempDir() + "/gdim_executor_snap.idx2";
   ASSERT_TRUE(executor.Snapshot(path).ok());
-  auto reloaded = QueryEngine::Open(path);
+  auto reloaded = ShardedEngine::Open(path);
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(reloaded->num_graphs(), 6);
 
@@ -290,7 +290,7 @@ TEST(BatchExecutorTest, SnapshotStreamsInBackgroundWithoutBlockingQueries) {
 
   // The drained bytes are the freeze-time state: the insert that happened
   // mid-write is absent, everything older is present.
-  Result<QueryEngine> reloaded = QueryEngine::Open(drained);
+  Result<ShardedEngine> reloaded = ShardedEngine::Open(drained);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded->num_graphs(), kRows);
   for (int id : reloaded->alive_ids()) EXPECT_NE(id, *inserted);

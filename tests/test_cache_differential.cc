@@ -3,8 +3,9 @@
 // executed against the full stack (ShardedEngine behind a BatchExecutor
 // with the epoch-versioned result cache enabled) and, in lockstep, against
 // a plain model of the database. Every query is answered twice — cold path
-// and guaranteed cache hit — and both must be bit-identical to a fresh
-// brute-force QueryEngine built from the model at that step. Any cache
+// and guaranteed cache hit — and both must be bit-identical to the core/
+// reference ranking over the model at that step (or, with the lossy
+// containment prefilter on, to a fresh uncached 1-shard engine). Any cache
 // staleness bug (missed epoch bump, key collision, invalidation hole) shows
 // up as a ranking diff; the failing (shards, threads, seed) triple is in
 // the scoped trace for replay.
@@ -25,9 +26,9 @@
 #include "common/random.h"
 #include "core/index_io.h"
 #include "graph/graph.h"
-#include "serve/query_engine.h"
 #include "server/batch_executor.h"
 #include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -165,7 +166,7 @@ void RunChurnInterleaving(int shards, int threads, uint64_t seed) {
             std::to_string(shards) + "_" + std::to_string(threads) + "_" +
             std::to_string(seed) + ".idx2";
         ASSERT_TRUE(executor.Snapshot(path).ok());
-        Result<QueryEngine> reloaded = QueryEngine::Open(path);
+        Result<ShardedEngine> reloaded = ShardedEngine::Open(path);
         ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
         std::vector<int> want_ids;
         for (const auto& [id, bits] : model.live) want_ids.push_back(id);
@@ -179,16 +180,20 @@ void RunChurnInterleaving(int shards, int threads, uint64_t seed) {
         const int k =
             ks[static_cast<size_t>(rng.UniformInt(
                 0, static_cast<int>(ks.size()) - 1))];
-        // The reference runs single-engine, single-threaded, uncached —
-        // but with the same prefilter setting: the containment prefilter
-        // is deliberately lossy for similarity, so it is part of the
-        // configuration under test, not noise to normalize away.
-        ServeOptions brute_opts;
-        brute_opts.containment_prefilter = opts.serve.containment_prefilter;
-        Result<QueryEngine> brute =
-            QueryEngine::FromIndex(model.ToIndex(), brute_opts);
-        ASSERT_TRUE(brute.ok()) << brute.status().ToString();
-        const Ranking want = brute->Query(GraphForBits(probe), {.k = k});
+        // The reference is the core/ ranking over the model. The
+        // containment prefilter is deliberately lossy for similarity, so it
+        // is part of the configuration under test, not noise to normalize
+        // away: with it on, the reference is a fresh 1-shard,
+        // single-threaded, uncached engine with the same setting.
+        Ranking want;
+        if (opts.serve.containment_prefilter) {
+          Result<ShardedEngine> brute = ShardedEngine::FromIndex(
+              model.ToIndex(), testing_util::Sharded(1, 1, true));
+          ASSERT_TRUE(brute.ok()) << brute.status().ToString();
+          want = brute->Query(GraphForBits(probe), {.k = k});
+        } else {
+          want = testing_util::ReferenceTopK(probe, model.ToIndex(), k);
+        }
 
         Result<Ranking> first = executor.Query(GraphForBits(probe), {.k = k});
         ASSERT_TRUE(first.ok()) << first.status().ToString();

@@ -13,7 +13,7 @@
 #include "core/topk.h"
 #include "datasets/chemgen.h"
 #include "graph/graph_io.h"
-#include "serve/query_engine.h"
+#include "server/sharded_engine.h"
 
 namespace gdim {
 namespace {
@@ -258,7 +258,7 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
 
   // An engine over the reloaded index serves those ids and keeps numbering
   // after them.
-  auto engine = QueryEngine::FromIndex(std::move(back).value());
+  auto engine = ShardedEngine::FromIndex(std::move(back).value());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   // This test body is the engine's single writer.
   ScopedRole writer(&engine->writer_role());
@@ -273,7 +273,7 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
   ASSERT_TRUE(engine->Remove(41).ok());
   const std::string snap = ::testing::TempDir() + "/gdim_ids_snap.idx2";
   ASSERT_TRUE(engine->Snapshot(snap).ok());
-  auto reloaded = QueryEngine::FromIndex(
+  auto reloaded = ShardedEngine::FromIndex(
       std::move(ReadIndexFile(snap)).value());
   ASSERT_TRUE(reloaded.ok());
   ScopedRole reloaded_writer(&reloaded->writer_role());
@@ -286,7 +286,7 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
   index.ids = {3, 3, 9, 40};
   EXPECT_EQ(WriteIndexFile(index, path, IndexFormat::kV2Binary).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(QueryEngine::FromIndex(index).status().code(),
+  EXPECT_EQ(ShardedEngine::FromIndex(index).status().code(),
             StatusCode::kInvalidArgument);
   index.ids = {3, 7, 9};
   EXPECT_EQ(WriteIndexFile(index, path, IndexFormat::kV2Binary).code(),
@@ -305,7 +305,7 @@ TEST(IndexIoTest, V2PersistsCustomIdsAndRejectsBadOnes) {
 TEST(IndexIoTest, MutatedEngineSnapshotReloadsEquivalently) {
   Rng rng(31);
   const PersistedIndex index = RandomIndex(30, 6, &rng);
-  auto engine = QueryEngine::FromIndex(index);
+  auto engine = ShardedEngine::FromIndex(index);
   ASSERT_TRUE(engine.ok());
   // This test body is the engine's single writer.
   ScopedRole writer(&engine->writer_role());
@@ -341,7 +341,7 @@ TEST(IndexIoTest, MutatedEngineSnapshotReloadsEquivalently) {
     } else {
       EXPECT_TRUE(back->ids.empty());
     }
-    auto reloaded = QueryEngine::FromIndex(std::move(back).value());
+    auto reloaded = ShardedEngine::FromIndex(std::move(back).value());
     ASSERT_TRUE(reloaded.ok());
     ScopedRole reloaded_writer(&reloaded->writer_role());
     EXPECT_EQ(reloaded->num_graphs(), engine->num_graphs());
@@ -448,9 +448,9 @@ TEST(IndexIoTest, OpenServesIdenticallyThroughThePackedPath) {
   ASSERT_TRUE(WriteIndexFile(index, path, IndexFormat::kV2Binary).ok());
   // Open() loads v2 through ReadIndexFilePacked (block read, no byte
   // detour); it must serve bit-identically to the byte-path engine.
-  auto packed_engine = QueryEngine::Open(path);
+  auto packed_engine = ShardedEngine::Open(path);
   ASSERT_TRUE(packed_engine.ok()) << packed_engine.status().ToString();
-  auto byte_engine = QueryEngine::FromIndex(index);
+  auto byte_engine = ShardedEngine::FromIndex(index);
   ASSERT_TRUE(byte_engine.ok());
   // This test body is both engines' single writer.
   ScopedRole packed_writer(&packed_engine->writer_role());
@@ -576,7 +576,7 @@ TEST(IndexIoTest, V3RoundTripCarriesSections) {
 
   // An engine opened from the file adopts the persisted epoch, and the
   // byte-view reader still accepts the file (sections validated, dropped).
-  auto engine = QueryEngine::Open(path);
+  auto engine = ShardedEngine::Open(path);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ(engine->epoch(), 77u);
   EXPECT_EQ(engine->ivf_buckets(), 2);

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -21,13 +24,13 @@
 #include "core/index_io.h"
 #include "core/kernels/scan_kernel.h"
 #include "graph/graph.h"
-#include "serve/query_engine.h"
 #include "server/batch_executor.h"
 #include "server/net_server.h"
 #include "server/net_socket.h"
 #include "server/sharded_engine.h"
 #include "server/wire.h"
 #include "store/graph_store.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -54,6 +57,29 @@ Graph LabelGraph(std::vector<LabelId> labels) {
   Graph g;
   for (LabelId l : labels) g.AddVertex(l);
   return g;
+}
+
+// -------------------------------------------------------------- socket ----
+
+/// The TCP_NODELAY flag as the kernel reports it for fd.
+int NoDelayFlag(int fd) {
+  int flag = -1;
+  socklen_t len = sizeof(flag);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &flag, &len), 0);
+  return flag;
+}
+
+TEST(SocketTest, BothEndsOfAConnectionDisableNagle) {
+  int port = 0;
+  Result<ScopedFd> listener = ListenTcp("127.0.0.1", 0, 4, &port);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  // The backlog completes the handshake, so connect returns before accept.
+  Result<ScopedFd> client = ConnectTcp("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  Result<ScopedFd> served = AcceptTcp(listener->get());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(NoDelayFlag(client->get()), 1);
+  EXPECT_EQ(NoDelayFlag(served->get()), 1);
 }
 
 // ---------------------------------------------------------------- wire ----
@@ -248,11 +274,6 @@ class NetServerTest : public ::testing::Test {
     executor_.emplace(&*engine_, executor_opts);
     server_.emplace(&*executor_);
     ASSERT_TRUE(server_->Start().ok());
-    // A shadow engine for expected answers (the served one is owned by the
-    // executor once it runs).
-    auto shadow = QueryEngine::FromIndex(LabelIndex(20));
-    ASSERT_TRUE(shadow.ok());
-    shadow_.emplace(std::move(shadow).value());
   }
 
   void TearDown() override {
@@ -262,7 +283,15 @@ class NetServerTest : public ::testing::Test {
   std::optional<ShardedEngine> engine_;
   std::optional<BatchExecutor> executor_;
   std::optional<NetServer> server_;
-  std::optional<QueryEngine> shadow_;
+
+  /// Expected answers from the core/ reference ranking over the served
+  /// database as loaded (the served engine is owned by the executor once
+  /// it runs).
+  static Ranking Expected(const Graph& probe, int k) {
+    const PersistedIndex index = LabelIndex(20);
+    return testing_util::ReferenceTopK(FeatureMapper(index.features).Map(probe),
+                                       index, k);
+  }
 };
 
 TEST_F(NetServerTest, VerbsRoundTripOverTcp) {
@@ -271,7 +300,7 @@ TEST_F(NetServerTest, VerbsRoundTripOverTcp) {
 
   const Graph probe = LabelGraph({0, 2, 4});
   const std::string expected =
-      FormatRankingResponse(shadow_->Query(probe, {.k = 5}));
+      FormatRankingResponse(Expected(probe, 5));
   EXPECT_EQ(client.Rpc("QUERY 5 " + EncodeGraphInline(probe)), expected);
 
   EXPECT_EQ(client.Rpc("INSERT " + EncodeGraphInline(LabelGraph({0, 1}))),
@@ -282,7 +311,7 @@ TEST_F(NetServerTest, VerbsRoundTripOverTcp) {
 
   const std::string snap = ::testing::TempDir() + "/gdim_net_snap.idx2";
   EXPECT_EQ(client.Rpc("SNAPSHOT " + snap), "OK snapshot");
-  auto reloaded = QueryEngine::Open(snap);
+  auto reloaded = ShardedEngine::Open(snap);
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(reloaded->num_graphs(), 20);
 
@@ -323,7 +352,7 @@ TEST_F(NetServerTest, QueryModeOptionTravelsOverTheWire) {
   // This fixture has no prefilter, so kAuto and kFull answer identically —
   // the wire option must parse, execute, and change nothing.
   const std::string expected =
-      FormatRankingResponse(shadow_->Query(probe, {.k = 5}));
+      FormatRankingResponse(Expected(probe, 5));
   EXPECT_EQ(client.Rpc("QUERY 5 " + spec), expected);
   EXPECT_EQ(client.Rpc("QUERY 5 MODE=full " + spec), expected);
   EXPECT_EQ(client.Rpc("QUERY 5 MODE=auto " + spec), expected);
@@ -347,7 +376,7 @@ TEST_F(NetServerTest, ConcurrentConnectionsGetExactAnswers) {
   };
   std::vector<std::string> expected;
   for (const Graph& p : probes) {
-    expected.push_back(FormatRankingResponse(shadow_->Query(p, {.k = 6})));
+    expected.push_back(FormatRankingResponse(Expected(p, 6)));
   }
   constexpr int kClients = 5;
   constexpr int kPerClient = 20;
@@ -589,7 +618,7 @@ TEST_F(NetServerTest, OversizedLineAnswersTypedErrorAndResynchronizes) {
   EXPECT_EQ(client.Rpc("PING"), "OK pong");
   const Graph probe = LabelGraph({0, 2, 4});
   EXPECT_EQ(client.Rpc("QUERY 5 " + EncodeGraphInline(probe)),
-            FormatRankingResponse(shadow_->Query(probe, {.k = 5})));
+            FormatRankingResponse(Expected(probe, 5)));
 }
 
 // --------------------------------------------------- snapshot under load --
@@ -618,7 +647,7 @@ TEST_F(NetServerTest, SnapshotOverTheWireDoesNotBlockOtherConnections) {
   // Sustained service while the snapshot writer is parked.
   const Graph probe = LabelGraph({1, 3});
   const std::string expected =
-      FormatRankingResponse(shadow_->Query(probe, {.k = 6}));
+      FormatRankingResponse(Expected(probe, 6));
   for (int i = 0; i < 20; ++i) {
     ASSERT_EQ(client.Rpc("QUERY 6 " + EncodeGraphInline(probe)), expected);
   }
@@ -638,7 +667,7 @@ TEST_F(NetServerTest, SnapshotOverTheWireDoesNotBlockOtherConnections) {
     ::close(read_fd);
   }
   EXPECT_EQ(pending.get(), "OK snapshot");
-  Result<QueryEngine> reloaded = QueryEngine::Open(drained);
+  Result<ShardedEngine> reloaded = ShardedEngine::Open(drained);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(reloaded->num_graphs(), 20);
   ::unlink(fifo.c_str());
@@ -725,7 +754,7 @@ TEST_F(NetServerTest, TraceOptionReturnsAStageBreakdownLine) {
   const Graph probe = LabelGraph({0, 2, 4});
   const std::string spec = EncodeGraphInline(probe);
   const std::string expected =
-      FormatRankingResponse(shadow_->Query(probe, {.k = 5}));
+      FormatRankingResponse(Expected(probe, 5));
 
   WallTimer client_timer;
   const std::vector<std::string> traced =

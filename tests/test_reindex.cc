@@ -150,32 +150,45 @@ TEST(BuildGenerationTest, RejectsDegenerateInputs) {
 
 // ------------------------------------------------------ generation swap --
 
-TEST(GenerationSwapTest, QueryEngineAdoptKeepsEpochStrictlyMonotonic) {
+TEST(GenerationSwapTest, RaiseEpochToAtLeastNeverLowersTheEpoch) {
+  // The engine's epoch is the sum of its shards' epochs; a snapshot reload
+  // (META) and a generation swap move it forward by raising one shard. The
+  // raise must be monotonic: it lifts the sum to the floor it is given and
+  // never lowers an epoch already above that floor.
   const GraphDatabase db = GenerateChemDatabase(SmallChem(12, 21));
   const PersistedIndex index = InitialIndex(db, FastRefresh("Sample", 6, 2));
-  auto engine = QueryEngine::FromIndex(index);
-  ASSERT_TRUE(engine.ok());
+  ShardedOptions opts;
+  opts.num_shards = 3;
+  const auto packed_with_epoch = [&](uint64_t epoch) {
+    PackedIndex packed;
+    packed.features = index.features;
+    packed.rows = PackedBitMatrix::FromRows(
+        index.db_bits, static_cast<int>(index.features.size()));
+    packed.meta = PersistedMeta{.generation = 0, .epoch = epoch};
+    return packed;
+  };
+  auto engine = ShardedEngine::FromPacked(packed_with_epoch(5), opts);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine->epoch(), 5u);  // raised from a fresh build's 0
   ScopedRole writer(&engine->writer_role());
   ASSERT_TRUE(engine->Remove(0).ok());
-  ASSERT_TRUE(engine->Remove(1).ok());
-  const uint64_t before = engine->epoch();
-  ASSERT_GE(before, 2u);
+  ASSERT_TRUE(engine->Remove(1).ok());  // another shard than id 0
+  EXPECT_EQ(engine->epoch(), 7u);
 
-  auto next = QueryEngine::FromIndex(
-      InitialIndex(db, FastRefresh("Sample", 4, 7)));
-  ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next->epoch(), 0u);  // fresh build
-  engine->AdoptGeneration(std::move(next).value());
-  EXPECT_GT(engine->epoch(), before);
-  EXPECT_EQ(engine->num_features(), 4);
+  // A next generation already past the floor keeps its epoch: the swap
+  // must not lower it back to the floor.
+  auto ahead = ShardedEngine::FromPacked(packed_with_epoch(100), opts);
+  ASSERT_TRUE(ahead.ok());
+  engine->SwapGeneration(std::move(ahead).value());
+  EXPECT_EQ(engine->epoch(), 100u);
+
+  // A fresh generation (epoch 0) is raised strictly above the old epoch.
+  auto fresh = ShardedEngine::FromPacked(packed_with_epoch(0), opts);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->epoch(), 0u);
+  engine->SwapGeneration(std::move(fresh).value());
+  EXPECT_EQ(engine->epoch(), 101u);
   EXPECT_EQ(engine->num_graphs(), static_cast<int>(db.size()));
-
-  // Raising is monotonic and never lowers.
-  const uint64_t raised = engine->epoch() + 5;
-  engine->RaiseEpochToAtLeast(raised);
-  EXPECT_EQ(engine->epoch(), raised);
-  engine->RaiseEpochToAtLeast(1);
-  EXPECT_EQ(engine->epoch(), raised);
 }
 
 TEST(GenerationSwapTest, ShardedSwapBumpsEpochAndGeneration) {

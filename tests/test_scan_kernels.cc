@@ -17,7 +17,8 @@
 #include "core/objective.h"
 #include "core/packed_bits.h"
 #include "gtest/gtest.h"
-#include "serve/query_engine.h"
+#include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
@@ -245,40 +246,45 @@ TEST(ScanKernelTest, ScoreAllMultiMatchesPerRowScores) {
   }
 }
 
-// The batch engine's tiled path must answer exactly like the single-query
-// path, including across tombstones and a live delta segment.
+// The engine's tiled batch path must answer exactly like the one-query
+// scatter path and the core/ reference, including across tombstones and a
+// live delta segment, at one shard and at several.
 TEST(ScanKernelTest, TiledBatchMatchesSingleQueriesAcrossMutations) {
-  Rng rng(11);
   const int p = 96;
-  PersistedIndex index;
-  for (LabelId r = 0; r < p; ++r) {
-    Graph f;
-    f.AddVertex(r);
-    index.features.push_back(f);
-  }
-  index.db_bits = RandomBitRows(40, p, 0.4, &rng);
-  ServeOptions options;
-  options.containment_prefilter = false;
-  Result<QueryEngine> built = QueryEngine::FromIndex(index, options);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  QueryEngine engine = std::move(built).value();
-  // This test body is the engine's single writer.
-  ScopedRole writer(&engine.writer_role());
-  for (const auto& row : RandomBitRows(9, p, 0.4, &rng)) {
-    ASSERT_TRUE(engine.InsertMapped(row).ok());  // delta segment
-  }
-  ASSERT_TRUE(engine.Remove(3).ok());
-  ASSERT_TRUE(engine.Remove(41).ok());  // one base, one delta tombstone
-  const std::vector<std::vector<uint8_t>> fingerprints =
-      RandomBitRows(13, p, 0.4, &rng);
-  const QueryOptions query_options{.k = 6, .scan_mode = ScanMode::kFull};
-  const std::vector<Ranking> tiled = engine.QueryMappedTile(
-      fingerprints.data(), static_cast<int>(fingerprints.size()),
-      query_options);
-  ASSERT_EQ(tiled.size(), fingerprints.size());
-  for (size_t i = 0; i < fingerprints.size(); ++i) {
-    EXPECT_EQ(tiled[i], engine.QueryMapped(fingerprints[i], query_options))
-        << "query " << i;
+  for (int shards : {1, 4}) {
+    Rng rng(11);
+    PersistedIndex index;
+    for (LabelId r = 0; r < p; ++r) {
+      Graph f;
+      f.AddVertex(r);
+      index.features.push_back(f);
+    }
+    index.db_bits = RandomBitRows(40, p, 0.4, &rng);
+    ShardedOptions options;
+    options.num_shards = shards;
+    Result<ShardedEngine> built = ShardedEngine::FromIndex(index, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    ShardedEngine engine = std::move(built).value();
+    // This test body is the engine's single writer.
+    ScopedRole writer(&engine.writer_role());
+    for (const auto& row : RandomBitRows(9, p, 0.4, &rng)) {
+      ASSERT_TRUE(engine.InsertMapped(row).ok());  // delta segment
+    }
+    ASSERT_TRUE(engine.Remove(3).ok());
+    ASSERT_TRUE(engine.Remove(41).ok());  // one base, one delta tombstone
+    const PersistedIndex live = engine.ToPersistedIndex();
+    const std::vector<std::vector<uint8_t>> fingerprints =
+        RandomBitRows(13, p, 0.4, &rng);
+    const QueryOptions query_options{.k = 6, .scan_mode = ScanMode::kFull};
+    const std::vector<Ranking> tiled =
+        engine.QueryMappedBatch(fingerprints, query_options);
+    ASSERT_EQ(tiled.size(), fingerprints.size());
+    for (size_t i = 0; i < fingerprints.size(); ++i) {
+      EXPECT_EQ(tiled[i], engine.QueryMapped(fingerprints[i], query_options))
+          << "shards=" << shards << " query " << i;
+      EXPECT_EQ(tiled[i], testing_util::ReferenceTopK(fingerprints[i], live, 6))
+          << "shards=" << shards << " query " << i;
+    }
   }
 }
 

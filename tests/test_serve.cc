@@ -1,9 +1,12 @@
 // Serving hot-path tests: the packed bit-matrix scan must agree bit for bit
-// with the byte-vector reference, and the QueryEngine must be deterministic
+// with the byte-vector reference, and the serving engine — at one shard and
+// at four — must match the core/ reference ranking and be deterministic
 // across thread counts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,10 +19,19 @@
 #include "core/packed_bits.h"
 #include "core/topk.h"
 #include "datasets/chemgen.h"
-#include "serve/query_engine.h"
+#include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
+
+using testing_util::ReferenceBatch;
+using testing_util::ReferenceTopK;
+using testing_util::Sharded;
+
+/// Shard counts every engine test runs at: the single-node case and a
+/// partition where most shards hold only a few rows.
+constexpr int kShardCounts[] = {1, 4};
 
 TEST(PackedBitMatrixTest, RoundTripsBitsAcrossWordBoundaries) {
   Rng rng(3);
@@ -138,7 +150,7 @@ TEST(LatencySummaryTest, PercentilesUseNearestRank) {
   EXPECT_DOUBLE_EQ(t.p99, 13.0);
 }
 
-class QueryEngineTest : public ::testing::Test {
+class ServingEngineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     ChemGenOptions gen;
@@ -177,67 +189,67 @@ class QueryEngineTest : public ::testing::Test {
   static PersistedIndex* index_;
 };
 
-GraphDatabase* QueryEngineTest::db_ = nullptr;
-GraphDatabase* QueryEngineTest::queries_ = nullptr;
-PersistedIndex* QueryEngineTest::index_ = nullptr;
+GraphDatabase* ServingEngineTest::db_ = nullptr;
+GraphDatabase* ServingEngineTest::queries_ = nullptr;
+PersistedIndex* ServingEngineTest::index_ = nullptr;
 
-TEST_F(QueryEngineTest, MatchesOfflineMappedRanking) {
-  auto engine = QueryEngine::FromIndex(*index_);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+TEST_F(ServingEngineTest, MatchesOfflineMappedRanking) {
   FeatureMapper mapper(index_->features);
-  for (const Graph& q : *queries_) {
-    const Ranking expected =
-        TopK(MappedRanking(mapper.Map(q), index_->db_bits), 5);
-    ServeQueryStats stats;
-    const Ranking got = engine->Query(q, {.k = 5}, &stats);
-    EXPECT_EQ(got, expected);
-    EXPECT_EQ(stats.scanned, engine->num_graphs());
-    EXPECT_FALSE(stats.prefiltered);
-  }
-}
-
-TEST_F(QueryEngineTest, BatchIsDeterministicAcrossThreadCounts) {
-  ServeOptions one;
-  one.threads = 1;
-  ServeOptions eight;
-  eight.threads = 8;
-  auto engine1 = QueryEngine::FromIndex(*index_, one);
-  auto engine8 = QueryEngine::FromIndex(*index_, eight);
-  ASSERT_TRUE(engine1.ok());
-  ASSERT_TRUE(engine8.ok());
-  ServeBatchReport report1, report8;
-  std::vector<ServeQueryStats> stats1, stats8;
-  const auto results1 =
-      engine1->QueryBatch(*queries_, {.k = 4}, &report1, &stats1);
-  const auto results8 =
-      engine8->QueryBatch(*queries_, {.k = 4}, &report8, &stats8);
-  EXPECT_EQ(results1, results8);
-  ASSERT_EQ(results1.size(), queries_->size());
-  EXPECT_EQ(report1.latency_ms.count, queries_->size());
-  EXPECT_EQ(stats1.size(), stats8.size());
-  for (size_t i = 0; i < stats1.size(); ++i) {
-    EXPECT_EQ(stats1[i].scanned, stats8[i].scanned);
-    EXPECT_EQ(stats1[i].features_on, stats8[i].features_on);
-  }
-}
-
-TEST_F(QueryEngineTest, PrefilterNeverWidensAndKeepsOrder) {
-  ServeOptions opts;
-  opts.containment_prefilter = true;
-  auto engine = QueryEngine::FromIndex(*index_, opts);
-  ASSERT_TRUE(engine.ok());
-  auto plain = QueryEngine::FromIndex(*index_);
-  ASSERT_TRUE(plain.ok());
-  for (const Graph& q : *queries_) {
-    ServeQueryStats stats;
-    const Ranking got = engine->Query(q, {.k = 3}, &stats);
-    EXPECT_LE(stats.scanned, engine->num_graphs());
-    for (size_t i = 1; i < got.size(); ++i) {
-      EXPECT_LE(got[i - 1].score, got[i].score);
+  for (int shards : kShardCounts) {
+    auto engine = ShardedEngine::FromIndex(*index_, Sharded(shards));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    for (const Graph& q : *queries_) {
+      ServeQueryStats stats;
+      const Ranking got = engine->Query(q, {.k = 5}, &stats);
+      EXPECT_EQ(got, ReferenceTopK(mapper.Map(q), *index_, 5))
+          << "shards=" << shards;
+      EXPECT_EQ(stats.scanned, engine->num_graphs());
+      EXPECT_FALSE(stats.prefiltered);
     }
-    if (!stats.prefiltered) {
-      // Fallback path must equal the unfiltered engine exactly.
-      EXPECT_EQ(got, plain->Query(q, {.k = 3}));
+  }
+}
+
+TEST_F(ServingEngineTest, BatchIsDeterministicAcrossThreadCounts) {
+  for (int shards : kShardCounts) {
+    auto engine1 = ShardedEngine::FromIndex(*index_, Sharded(shards, 1));
+    auto engine8 = ShardedEngine::FromIndex(*index_, Sharded(shards, 8));
+    ASSERT_TRUE(engine1.ok());
+    ASSERT_TRUE(engine8.ok());
+    ServeBatchReport report1, report8;
+    std::vector<ServeQueryStats> stats1, stats8;
+    const auto results1 =
+        engine1->QueryBatch(*queries_, {.k = 4}, &report1, &stats1);
+    const auto results8 =
+        engine8->QueryBatch(*queries_, {.k = 4}, &report8, &stats8);
+    EXPECT_EQ(results1, results8) << "shards=" << shards;
+    ASSERT_EQ(results1.size(), queries_->size());
+    EXPECT_EQ(report1.latency_ms.count, queries_->size());
+    EXPECT_EQ(stats1.size(), stats8.size());
+    for (size_t i = 0; i < stats1.size(); ++i) {
+      EXPECT_EQ(stats1[i].scanned, stats8[i].scanned);
+      EXPECT_EQ(stats1[i].features_on, stats8[i].features_on);
+    }
+  }
+}
+
+TEST_F(ServingEngineTest, PrefilterNeverWidensAndKeepsOrder) {
+  FeatureMapper mapper(index_->features);
+  for (int shards : kShardCounts) {
+    auto engine =
+        ShardedEngine::FromIndex(*index_, Sharded(shards, 0, true));
+    ASSERT_TRUE(engine.ok());
+    for (const Graph& q : *queries_) {
+      ServeQueryStats stats;
+      const Ranking got = engine->Query(q, {.k = 3}, &stats);
+      EXPECT_LE(stats.scanned, engine->num_graphs());
+      for (size_t i = 1; i < got.size(); ++i) {
+        EXPECT_LE(got[i - 1].score, got[i].score);
+      }
+      if (!stats.prefiltered) {
+        // Fallback path must equal the unfiltered reference exactly.
+        EXPECT_EQ(got, ReferenceTopK(mapper.Map(q), *index_, 3))
+            << "shards=" << shards;
+      }
     }
   }
 }
@@ -246,7 +258,7 @@ TEST_F(QueryEngineTest, PrefilterNeverWidensAndKeepsOrder) {
 // graph's fingerprint is exactly its vertex-label set. Lets us pick the
 // candidate sets the prefilter must produce and assert the narrowed scan is
 // exact, not merely ordered.
-TEST(QueryEnginePrefilterTest, NarrowedScanEqualsRestrictedFullRanking) {
+TEST(ServingPrefilterTest, NarrowedScanEqualsRestrictedFullRanking) {
   const int kLabels = 4;
   PersistedIndex index;
   for (LabelId r = 0; r < kLabels; ++r) {
@@ -263,22 +275,12 @@ TEST(QueryEnginePrefilterTest, NarrowedScanEqualsRestrictedFullRanking) {
     for (LabelId l : labels) bits[static_cast<size_t>(l)] = 1;
     index.db_bits.push_back(bits);
   }
-  ServeOptions opts;
-  opts.containment_prefilter = true;
-  auto engine = QueryEngine::FromIndex(index, opts);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   // Query with labels {0, 1}: candidates = graphs 0, 1, 2, 6.
   Graph q;
   q.AddVertex(0);
   q.AddVertex(1);
   q.AddEdge(0, 1, 0);
-  ServeQueryStats stats;
-  const Ranking got = engine->Query(q, {.k = 3}, &stats);
-  EXPECT_TRUE(stats.prefiltered);
-  EXPECT_EQ(stats.scanned, 4);
-  EXPECT_EQ(stats.features_on, 2);
-
   // Expected: the full byte-vector ranking restricted to the candidates.
   FeatureMapper mapper(index.features);
   Ranking expected;
@@ -288,16 +290,28 @@ TEST(QueryEnginePrefilterTest, NarrowedScanEqualsRestrictedFullRanking) {
     }
   }
   expected.resize(3);
-  EXPECT_EQ(got, expected);
+
+  for (int shards : kShardCounts) {
+    auto engine = ShardedEngine::FromIndex(index, Sharded(shards, 0, true));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ServeQueryStats stats;
+    const Ranking got = engine->Query(q, {.k = 3}, &stats);
+    EXPECT_TRUE(stats.prefiltered);
+    EXPECT_EQ(stats.scanned, 4);
+    EXPECT_EQ(stats.features_on, 2);
+    EXPECT_EQ(got, expected) << "shards=" << shards;
+  }
 }
 
-TEST_F(QueryEngineTest, RejectsRaggedIndexRows) {
+TEST_F(ServingEngineTest, RejectsRaggedIndexRows) {
   PersistedIndex bad = *index_;
   ASSERT_FALSE(bad.db_bits.empty());
   bad.db_bits[0].pop_back();
-  auto engine = QueryEngine::FromIndex(std::move(bad));
-  EXPECT_FALSE(engine.ok());
-  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+  for (int shards : kShardCounts) {
+    auto engine = ShardedEngine::FromIndex(bad, Sharded(shards));
+    EXPECT_FALSE(engine.ok());
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(PackedBitMatrixTest, AppendRowMatchesFromRows) {
@@ -363,107 +377,108 @@ struct ShadowDb {
     for (const auto& [id, bits] : rows) out.push_back(id);
     return out;
   }
+  /// The live rows with their external ids: the oracle's input.
   PersistedIndex Equivalent(const GraphDatabase& features) const {
     PersistedIndex index;
     index.features = features;
-    for (const auto& [id, bits] : rows) index.db_bits.push_back(bits);
+    for (const auto& [id, bits] : rows) {
+      index.ids.push_back(id);
+      index.db_bits.push_back(bits);
+    }
     return index;
   }
 };
 
-TEST_F(QueryEngineTest, MutationSequenceMatchesFreshEngineAcrossThreads) {
+TEST_F(ServingEngineTest, MutationSequenceMatchesFreshEngineAcrossThreads) {
   FeatureMapper mapper(index_->features);
-  for (int threads : {1, 8}) {
-    for (bool prefilter : {false, true}) {
-      ServeOptions opts;
-      opts.threads = threads;
-      opts.containment_prefilter = prefilter;
-      auto engine = QueryEngine::FromIndex(*index_, opts);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      // This test body is the engine's single writer.
-      ScopedRole writer(&engine->writer_role());
+  for (int shards : kShardCounts) {
+    for (int threads : {1, 8}) {
+      for (bool prefilter : {false, true}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " threads=" + std::to_string(threads) +
+                     " prefilter=" + std::to_string(prefilter));
+        const ShardedOptions opts = Sharded(shards, threads, prefilter);
+        auto engine = ShardedEngine::FromIndex(*index_, opts);
+        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+        // This test body is the engine's single writer.
+        ScopedRole writer(&engine->writer_role());
 
-      ShadowDb shadow;
-      for (const auto& bits : index_->db_bits) shadow.Insert(bits);
+        ShadowDb shadow;
+        for (const auto& bits : index_->db_bits) shadow.Insert(bits);
 
-      // Interleaved mutation script: removes, inserts, a mid-sequence
-      // compaction, then more churn on both old and new ids.
-      for (int id : {1, 5, 19, 38}) {
-        ASSERT_TRUE(engine->Remove(id).ok());
-        shadow.Remove(id);
-      }
-      for (int i = 0; i < 10; ++i) {
-        const Graph& g = (*queries_)[static_cast<size_t>(i)];
-        auto inserted = engine->Insert(g);
-        ASSERT_TRUE(inserted.ok());
-        EXPECT_EQ(*inserted, shadow.next_id);
-        shadow.Insert(mapper.Map(g));
-      }
-      engine->Compact();
-      EXPECT_EQ(engine->delta_rows(), 0);
-      EXPECT_EQ(engine->tombstoned_rows(), 0);
-      for (int id : {0, 2, 40, 44}) {  // ids 40/44 came from the delta
-        ASSERT_TRUE(engine->Remove(id).ok());
-        shadow.Remove(id);
-      }
-      for (int i = 10; i < 16; ++i) {
-        const Graph& g = (*queries_)[static_cast<size_t>(i)];
-        ASSERT_TRUE(engine->Insert(g).ok());
-        shadow.Insert(mapper.Map(g));
-      }
-
-      // Mutation-surface sanity: ids are stable and misuse is graceful.
-      EXPECT_EQ(engine->alive_ids(), shadow.ids());
-      EXPECT_EQ(engine->num_graphs(), static_cast<int>(shadow.rows.size()));
-      EXPECT_EQ(engine->Remove(5).code(), StatusCode::kNotFound);  // twice
-      EXPECT_EQ(engine->Remove(9999).code(), StatusCode::kNotFound);
-      EXPECT_EQ(engine->InsertMapped(std::vector<uint8_t>(3, 0))
-                    .status()
-                    .code(),
-                StatusCode::kInvalidArgument);
-
-      // The invariant: bit-identical QueryBatch vs a fresh engine over the
-      // equivalent database, after mapping the fresh engine's positional
-      // ids through the live id list.
-      auto fresh =
-          QueryEngine::FromIndex(shadow.Equivalent(index_->features), opts);
-      ASSERT_TRUE(fresh.ok());
-      const std::vector<int> live_ids = shadow.ids();
-      for (int k : {0, 3, 1000}) {
-        std::vector<Ranking> expected = fresh->QueryBatch(*queries_, {.k = k});
-        for (Ranking& ranking : expected) {
-          for (RankedResult& r : ranking) {
-            r.id = live_ids[static_cast<size_t>(r.id)];
-          }
+        // Interleaved mutation script: removes, inserts, a mid-sequence
+        // compaction, then more churn on both old and new ids.
+        for (int id : {1, 5, 19, 38}) {
+          ASSERT_TRUE(engine->Remove(id).ok());
+          shadow.Remove(id);
         }
-        EXPECT_EQ(engine->QueryBatch(*queries_, {.k = k}), expected)
-            << "threads=" << threads << " prefilter=" << prefilter
-            << " k=" << k;
-      }
-
-      // And the same invariant again after a final compaction.
-      engine->Compact();
-      std::vector<Ranking> expected = fresh->QueryBatch(*queries_, {.k = 4});
-      for (Ranking& ranking : expected) {
-        for (RankedResult& r : ranking) {
-          r.id = live_ids[static_cast<size_t>(r.id)];
+        for (int i = 0; i < 10; ++i) {
+          const Graph& g = (*queries_)[static_cast<size_t>(i)];
+          auto inserted = engine->Insert(g);
+          ASSERT_TRUE(inserted.ok());
+          EXPECT_EQ(*inserted, shadow.next_id);
+          shadow.Insert(mapper.Map(g));
         }
+        engine->Compact();
+        EXPECT_EQ(engine->physical_rows(), engine->num_graphs());
+        EXPECT_EQ(engine->tombstoned_rows(), 0);
+        for (int id : {0, 2, 40, 44}) {  // ids 40/44 came from the delta
+          ASSERT_TRUE(engine->Remove(id).ok());
+          shadow.Remove(id);
+        }
+        for (int i = 10; i < 16; ++i) {
+          const Graph& g = (*queries_)[static_cast<size_t>(i)];
+          ASSERT_TRUE(engine->Insert(g).ok());
+          shadow.Insert(mapper.Map(g));
+        }
+
+        // Mutation-surface sanity: ids are stable and misuse is graceful.
+        EXPECT_EQ(engine->alive_ids(), shadow.ids());
+        EXPECT_EQ(engine->num_graphs(),
+                  static_cast<int>(shadow.rows.size()));
+        EXPECT_EQ(engine->Remove(5).code(), StatusCode::kNotFound);  // twice
+        EXPECT_EQ(engine->Remove(9999).code(), StatusCode::kNotFound);
+        EXPECT_EQ(engine->InsertMapped(std::vector<uint8_t>(3, 0))
+                      .status()
+                      .code(),
+                  StatusCode::kInvalidArgument);
+
+        // The invariant: bit-identical QueryBatch vs the equivalent live
+        // database — the core/ reference, or with the (lossy) prefilter
+        // on, a fresh single-shard engine over the same live rows.
+        const PersistedIndex live = shadow.Equivalent(index_->features);
+        auto fresh = ShardedEngine::FromIndex(live, Sharded(1, 1, prefilter));
+        ASSERT_TRUE(fresh.ok());
+        const auto expected_batch = [&](int k) {
+          return prefilter ? fresh->QueryBatch(*queries_, {.k = k})
+                           : ReferenceBatch(*queries_, live, k);
+        };
+        for (int k : {0, 3, 1000}) {
+          EXPECT_EQ(engine->QueryBatch(*queries_, {.k = k}),
+                    expected_batch(k))
+              << "k=" << k;
+        }
+
+        // And the same invariant again after a final compaction.
+        engine->Compact();
+        EXPECT_EQ(engine->QueryBatch(*queries_, {.k = 4}), expected_batch(4));
+        EXPECT_EQ(engine->alive_ids(), shadow.ids());
       }
-      EXPECT_EQ(engine->QueryBatch(*queries_, {.k = 4}), expected);
-      EXPECT_EQ(engine->alive_ids(), live_ids);
     }
   }
 }
 
-TEST_F(QueryEngineTest, NegativeKAnswersEmptyInsteadOfAborting) {
-  auto engine = QueryEngine::FromIndex(*index_);
-  ASSERT_TRUE(engine.ok());
-  ServeQueryStats stats;
-  EXPECT_TRUE(engine->Query((*queries_)[0], {.k = -3}, &stats).empty());
-  EXPECT_EQ(stats.scanned, engine->num_graphs());
-  const auto batch = engine->QueryBatch(*queries_, {.k = -1});
-  ASSERT_EQ(batch.size(), queries_->size());
-  for (const Ranking& r : batch) EXPECT_TRUE(r.empty());
+TEST_F(ServingEngineTest, NegativeKAnswersEmptyInsteadOfAborting) {
+  for (int shards : kShardCounts) {
+    auto engine = ShardedEngine::FromIndex(*index_, Sharded(shards));
+    ASSERT_TRUE(engine.ok());
+    ServeQueryStats stats;
+    EXPECT_TRUE(engine->Query((*queries_)[0], {.k = -3}, &stats).empty());
+    EXPECT_EQ(stats.scanned, engine->num_graphs());
+    const auto batch = engine->QueryBatch(*queries_, {.k = -1});
+    ASSERT_EQ(batch.size(), queries_->size());
+    for (const Ranking& r : batch) EXPECT_TRUE(r.empty());
+  }
 }
 
 /// Single-vertex-feature index (see NarrowedScanEqualsRestrictedFullRanking)
@@ -494,143 +509,160 @@ Graph LabelGraph(std::vector<LabelId> labels) {
   return g;
 }
 
-TEST(QueryEnginePrefilterTest, EmptyIntersectionFallsBackEvenAtKZero) {
-  ServeOptions opts;
-  opts.containment_prefilter = true;
-  auto engine = QueryEngine::FromIndex(LabelSetIndex(), opts);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+TEST(ServingPrefilterTest, EmptyIntersectionFallsBackEvenAtKZero) {
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto engine =
+        ShardedEngine::FromIndex(LabelSetIndex(), Sharded(shards, 0, true));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-  // Labels {0, 4}: sup(0) ∩ sup(4) = ∅. A zero-row scan is not a narrowed
-  // scan — the documented fallback must fire, also at k == 0.
-  for (int k : {0, 3}) {
-    ServeQueryStats stats;
-    const Ranking got = engine->Query(LabelGraph({0, 4}), {.k = k}, &stats);
-    EXPECT_FALSE(stats.prefiltered) << "k=" << k;
-    EXPECT_EQ(stats.scanned, engine->num_graphs()) << "k=" << k;
-    if (k == 0) {
-      EXPECT_TRUE(got.empty());
-    } else {
-      EXPECT_EQ(got.size(), 3u);
+    // Labels {0, 4}: sup(0) ∩ sup(4) = ∅. A zero-row scan is not a narrowed
+    // scan — the documented fallback must fire, also at k == 0.
+    for (int k : {0, 3}) {
+      ServeQueryStats stats;
+      const Ranking got = engine->Query(LabelGraph({0, 4}), {.k = k}, &stats);
+      EXPECT_FALSE(stats.prefiltered) << "k=" << k;
+      EXPECT_EQ(stats.scanned, engine->num_graphs()) << "k=" << k;
+      if (k == 0) {
+        EXPECT_TRUE(got.empty());
+      } else {
+        EXPECT_EQ(got.size(), 3u);
+      }
     }
-  }
 
-  // A non-empty candidate set still counts as narrowed at k == 0.
-  ServeQueryStats stats;
-  EXPECT_TRUE(engine->Query(LabelGraph({0, 3}), {.k = 0}, &stats).empty());
-  EXPECT_TRUE(stats.prefiltered);
-  EXPECT_EQ(stats.scanned, 2);  // graphs {0,1,2,3} and {0,1,3}
+    // A non-empty candidate set still counts as narrowed at k == 0.
+    ServeQueryStats stats;
+    EXPECT_TRUE(engine->Query(LabelGraph({0, 3}), {.k = 0}, &stats).empty());
+    EXPECT_TRUE(stats.prefiltered);
+    EXPECT_EQ(stats.scanned, 2);  // graphs {0,1,2,3} and {0,1,3}
+  }
 }
 
-TEST(QueryEngineEmptyTest, EmptyDatabaseValidatesAndServes) {
+TEST(ServingEmptyTest, EmptyDatabaseValidatesAndServes) {
   // n = 0, p > 0: the engine must keep validating query width (the old
   // packed matrix lost its width with no rows) and serve empty rankings.
   PersistedIndex index = LabelSetIndex();
   index.db_bits.clear();
-  auto engine = QueryEngine::FromIndex(index);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  EXPECT_EQ(engine->num_graphs(), 0);
-  EXPECT_EQ(engine->num_features(), 5);
-  ServeQueryStats stats;
-  EXPECT_TRUE(engine->Query(LabelGraph({0, 1}), {.k = 4}, &stats).empty());
-  EXPECT_EQ(stats.scanned, 0);
-  const auto batch =
-      engine->QueryBatch({LabelGraph({0}), LabelGraph({2})}, {.k = 2});
-  ASSERT_EQ(batch.size(), 2u);
-  for (const Ranking& r : batch) EXPECT_TRUE(r.empty());
+  for (int shards : kShardCounts) {
+    auto engine = ShardedEngine::FromIndex(index, Sharded(shards));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_EQ(engine->num_graphs(), 0);
+    EXPECT_EQ(engine->num_features(), 5);
+    ServeQueryStats stats;
+    EXPECT_TRUE(engine->Query(LabelGraph({0, 1}), {.k = 4}, &stats).empty());
+    EXPECT_EQ(stats.scanned, 0);
+    const auto batch =
+        engine->QueryBatch({LabelGraph({0}), LabelGraph({2})}, {.k = 2});
+    ASSERT_EQ(batch.size(), 2u);
+    for (const Ranking& r : batch) EXPECT_TRUE(r.empty());
 
-  // The empty engine is a valid insert target.
-  ScopedRole writer(&engine->writer_role());
-  auto id = engine->Insert(LabelGraph({0, 1}));
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(*id, 0);
-  const Ranking got = engine->Query(LabelGraph({0, 1}), {.k = 4});
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].id, 0);
-  EXPECT_DOUBLE_EQ(got[0].score, 0.0);
+    // The empty engine is a valid insert target.
+    ScopedRole writer(&engine->writer_role());
+    auto id = engine->Insert(LabelGraph({0, 1}));
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(*id, 0);
+    const Ranking got = engine->Query(LabelGraph({0, 1}), {.k = 4});
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].id, 0);
+    EXPECT_DOUBLE_EQ(got[0].score, 0.0);
+  }
 }
 
-TEST(QueryEngineEmptyTest, ZeroFeatureDimension) {
+TEST(ServingEmptyTest, ZeroFeatureDimension) {
   // p = 0: every fingerprint is empty and every distance is 0; ranking
   // degenerates to ascending ids. n = 0 and n > 0 both serve.
-  PersistedIndex empty;  // p = 0, n = 0
-  auto engine = QueryEngine::FromIndex(empty);
-  ASSERT_TRUE(engine.ok());
-  EXPECT_TRUE(engine->Query(LabelGraph({0}), {.k = 3}).empty());
+  for (int shards : kShardCounts) {
+    PersistedIndex empty;  // p = 0, n = 0
+    auto engine = ShardedEngine::FromIndex(empty, Sharded(shards));
+    ASSERT_TRUE(engine.ok());
+    EXPECT_TRUE(engine->Query(LabelGraph({0}), {.k = 3}).empty());
 
-  PersistedIndex degenerate;  // p = 0, n = 2
-  degenerate.db_bits = {{}, {}};
-  auto engine2 = QueryEngine::FromIndex(degenerate);
-  ASSERT_TRUE(engine2.ok());
-  const Ranking got = engine2->Query(LabelGraph({0}), {.k = 5});
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].id, 0);
-  EXPECT_EQ(got[1].id, 1);
-  EXPECT_DOUBLE_EQ(got[0].score, 0.0);
-}
-
-TEST(QueryEngineMutationTest, EpochBumpsOnMutationsOnly) {
-  auto engine = QueryEngine::FromIndex(LabelSetIndex());
-  ASSERT_TRUE(engine.ok());
-  ScopedRole writer(&engine->writer_role());
-  EXPECT_EQ(engine->epoch(), 0u);
-
-  // Queries never bump.
-  engine->Query(LabelGraph({0, 1}), {.k = 3});
-  EXPECT_EQ(engine->epoch(), 0u);
-
-  auto id = engine->Insert(LabelGraph({0, 3}));
-  ASSERT_TRUE(id.ok());
-  EXPECT_EQ(engine->epoch(), 1u);
-  ASSERT_TRUE(engine->Remove(*id).ok());
-  EXPECT_EQ(engine->epoch(), 2u);
-
-  // Failed mutations leave the engine unchanged — and the epoch with it.
-  EXPECT_FALSE(engine->Remove(*id).ok());
-  EXPECT_FALSE(engine->InsertMapped({1, 0}).ok());  // wrong width
-  EXPECT_EQ(engine->epoch(), 2u);
-
-  // A working Compact bumps (physical rows moved); a no-op one does not.
-  engine->Compact();
-  EXPECT_EQ(engine->epoch(), 3u);
-  engine->Compact();
-  EXPECT_EQ(engine->epoch(), 3u);
-}
-
-TEST(QueryEngineMutationTest, FreezeCapturesStateImmuneToLaterMutations) {
-  auto engine = QueryEngine::FromIndex(LabelSetIndex());
-  ASSERT_TRUE(engine.ok());
-  ScopedRole writer(&engine->writer_role());
-  ASSERT_TRUE(engine->Insert(LabelGraph({1, 2})).ok());  // delta row
-  ASSERT_TRUE(engine->Remove(0).ok());
-  const std::vector<int> ids_at_freeze = engine->alive_ids();
-  const FrozenEngineState frozen = engine->Freeze();
-
-  // Mutate hard after the freeze: append, remove, and compact (which
-  // replaces the sealed base the capture shares).
-  ASSERT_TRUE(engine->Insert(LabelGraph({0})).ok());
-  ASSERT_TRUE(engine->Remove(2).ok());
-  engine->Compact();
-
-  std::vector<int> frozen_ids;
-  for (const auto& [id, words] : frozen.LiveRowWords()) {
-    frozen_ids.push_back(id);
-    EXPECT_NE(words, nullptr);
+    PersistedIndex degenerate;  // p = 0, n = 2
+    degenerate.db_bits = {{}, {}};
+    auto engine2 = ShardedEngine::FromIndex(degenerate, Sharded(shards));
+    ASSERT_TRUE(engine2.ok());
+    const Ranking got = engine2->Query(LabelGraph({0}), {.k = 5});
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].id, 0);
+    EXPECT_EQ(got[1].id, 1);
+    EXPECT_DOUBLE_EQ(got[0].score, 0.0);
   }
-  EXPECT_EQ(frozen_ids, ids_at_freeze);
 }
 
-TEST(QueryEngineMutationTest, TombstonesNeverSurfaceWhenKExceedsLiveCount) {
-  auto engine = QueryEngine::FromIndex(LabelSetIndex());
-  ASSERT_TRUE(engine.ok());
-  ScopedRole writer(&engine->writer_role());
-  ASSERT_TRUE(engine->Remove(0).ok());
-  ASSERT_TRUE(engine->Remove(4).ok());
-  // k far beyond the live count: removed rows must not pad the ranking.
-  const Ranking got = engine->Query(LabelGraph({0, 1}), {.k = 100});
-  EXPECT_EQ(got.size(), 5u);
-  for (const RankedResult& r : got) {
-    EXPECT_NE(r.id, 0);
-    EXPECT_NE(r.id, 4);
+TEST(ServingMutationTest, EpochBumpsOnMutationsOnly) {
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto engine = ShardedEngine::FromIndex(LabelSetIndex(), Sharded(shards));
+    ASSERT_TRUE(engine.ok());
+    ScopedRole writer(&engine->writer_role());
+    EXPECT_EQ(engine->epoch(), 0u);
+
+    // Queries never bump.
+    engine->Query(LabelGraph({0, 1}), {.k = 3});
+    EXPECT_EQ(engine->epoch(), 0u);
+
+    auto id = engine->Insert(LabelGraph({0, 3}));
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(engine->epoch(), 1u);
+    ASSERT_TRUE(engine->Remove(*id).ok());
+    EXPECT_EQ(engine->epoch(), 2u);
+
+    // Failed mutations leave the engine unchanged — and the epoch with it.
+    EXPECT_FALSE(engine->Remove(*id).ok());
+    EXPECT_FALSE(engine->InsertMapped({1, 0}).ok());  // wrong width
+    EXPECT_EQ(engine->epoch(), 2u);
+
+    // A working Compact bumps (physical rows moved; only the one shard the
+    // insert and remove touched has work); a no-op one does not.
+    engine->Compact();
+    EXPECT_EQ(engine->epoch(), 3u);
+    engine->Compact();
+    EXPECT_EQ(engine->epoch(), 3u);
+  }
+}
+
+TEST(ServingMutationTest, FreezeCapturesStateImmuneToLaterMutations) {
+  for (int shards : kShardCounts) {
+    auto engine = ShardedEngine::FromIndex(LabelSetIndex(), Sharded(shards));
+    ASSERT_TRUE(engine.ok());
+    ScopedRole writer(&engine->writer_role());
+    ASSERT_TRUE(engine->Insert(LabelGraph({1, 2})).ok());  // delta row
+    ASSERT_TRUE(engine->Remove(0).ok());
+    const std::vector<int> ids_at_freeze = engine->alive_ids();
+    const FrozenShardedState frozen = engine->Freeze();
+
+    // Mutate hard after the freeze: append, remove, and compact (which
+    // replaces the sealed bases the capture shares).
+    ASSERT_TRUE(engine->Insert(LabelGraph({0})).ok());
+    ASSERT_TRUE(engine->Remove(2).ok());
+    engine->Compact();
+
+    std::vector<int> frozen_ids;
+    for (const FrozenEngineState& shard : frozen.shards) {
+      for (const auto& [id, words] : shard.LiveRowWords()) {
+        frozen_ids.push_back(id);
+        EXPECT_NE(words, nullptr);
+      }
+    }
+    std::sort(frozen_ids.begin(), frozen_ids.end());
+    EXPECT_EQ(frozen_ids, ids_at_freeze) << "shards=" << shards;
+  }
+}
+
+TEST(ServingMutationTest, TombstonesNeverSurfaceWhenKExceedsLiveCount) {
+  for (int shards : kShardCounts) {
+    auto engine = ShardedEngine::FromIndex(LabelSetIndex(), Sharded(shards));
+    ASSERT_TRUE(engine.ok());
+    ScopedRole writer(&engine->writer_role());
+    ASSERT_TRUE(engine->Remove(0).ok());
+    ASSERT_TRUE(engine->Remove(4).ok());
+    // k far beyond the live count: removed rows must not pad the ranking.
+    const Ranking got = engine->Query(LabelGraph({0, 1}), {.k = 100});
+    EXPECT_EQ(got.size(), 5u) << "shards=" << shards;
+    for (const RankedResult& r : got) {
+      EXPECT_NE(r.id, 0);
+      EXPECT_NE(r.id, 4);
+    }
   }
 }
 

@@ -1,8 +1,10 @@
 // Sharded scatter-gather tests: a ShardedEngine over ANY shard count must
-// answer bit-identically (ids and scores) to a single QueryEngine on the
-// same database — through tie-heavy score distributions, k larger than any
-// shard, shards emptied by removals, interleaved churn, and snapshot/reload
-// cycles that change the shard count.
+// answer bit-identically (ids and scores) to the core/ reference ranking
+// TopK(MappedRanking(...)) over the same live database — or, with the lossy
+// containment prefilter on, to a fresh 1-shard engine over it — through
+// tie-heavy score distributions, k larger than any shard, shards emptied by
+// removals, interleaved churn, and snapshot/reload cycles that change the
+// shard count.
 
 #include <gtest/gtest.h>
 
@@ -17,20 +19,15 @@
 #include "core/index_io.h"
 #include "core/mapper.h"
 #include "datasets/chemgen.h"
-#include "serve/query_engine.h"
 #include "server/sharded_engine.h"
+#include "test_util.h"
 
 namespace gdim {
 namespace {
 
-ShardedOptions Sharded(int num_shards, int threads = 0,
-                       bool prefilter = false) {
-  ShardedOptions opts;
-  opts.num_shards = num_shards;
-  opts.serve.threads = threads;
-  opts.serve.containment_prefilter = prefilter;
-  return opts;
-}
+using testing_util::ReferenceBatch;
+using testing_util::ReferenceTopK;
+using testing_util::Sharded;
 
 class ShardedEngineTest : public ::testing::Test {
  protected:
@@ -76,18 +73,17 @@ GraphDatabase* ShardedEngineTest::queries_ = nullptr;
 PersistedIndex* ShardedEngineTest::index_ = nullptr;
 
 TEST_F(ShardedEngineTest, AnyShardCountMatchesSingleEngineBitForBit) {
-  auto single = QueryEngine::FromIndex(*index_);
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
   for (int shards : {1, 2, 4, 7}) {
     for (int threads : {1, 8}) {
       auto engine =
           ShardedEngine::FromIndex(*index_, Sharded(shards, threads));
       ASSERT_TRUE(engine.ok()) << engine.status().ToString();
       EXPECT_EQ(engine->num_shards(), shards);
-      EXPECT_EQ(engine->num_graphs(), single->num_graphs());
+      EXPECT_EQ(engine->num_graphs(),
+                static_cast<int>(index_->db_bits.size()));
       for (int k : {0, 3, 1000}) {
         EXPECT_EQ(engine->QueryBatch(*queries_, {.k = k}),
-                  single->QueryBatch(*queries_, {.k = k}))
+                  ReferenceBatch(*queries_, *index_, k))
             << "shards=" << shards << " threads=" << threads << " k=" << k;
       }
     }
@@ -108,51 +104,60 @@ TEST_F(ShardedEngineTest, ScatterStatsAggregateAcrossShards) {
 
 TEST_F(ShardedEngineTest, InterleavedChurnStaysIdenticalToSingleEngine) {
   FeatureMapper mapper(index_->features);
-  for (int threads : {1, 8}) {
-    for (bool prefilter : {false, true}) {
-      ServeOptions serve;
-      serve.threads = threads;
-      serve.containment_prefilter = prefilter;
-      auto single = QueryEngine::FromIndex(*index_, serve);
-      ASSERT_TRUE(single.ok());
-      auto sharded = ShardedEngine::FromIndex(
-          *index_, Sharded(4, threads, prefilter));
-      ASSERT_TRUE(sharded.ok());
-      // This test body is both engines' single writer.
-      ScopedRole single_writer(&single->writer_role());
-      ScopedRole sharded_writer(&sharded->writer_role());
+  for (int shards : {1, 2, 4, 7}) {
+    for (int threads : {1, 8}) {
+      for (bool prefilter : {false, true}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " threads=" + std::to_string(threads) +
+                     " prefilter=" + std::to_string(prefilter));
+        auto sharded = ShardedEngine::FromIndex(
+            *index_, Sharded(shards, threads, prefilter));
+        ASSERT_TRUE(sharded.ok());
+        // This test body is the engine's single writer.
+        ScopedRole writer(&sharded->writer_role());
+        // The live database in id order, mutated in lockstep.
+        PersistedIndex live = *index_;
+        for (size_t i = 0; i < live.db_bits.size(); ++i) {
+          live.ids.push_back(static_cast<int>(i));
+        }
+        const auto remove = [&](int id) {
+          ASSERT_TRUE(sharded->Remove(id).ok()) << "id=" << id;
+          const auto it =
+              std::lower_bound(live.ids.begin(), live.ids.end(), id);
+          ASSERT_TRUE(it != live.ids.end() && *it == id);
+          live.db_bits.erase(live.db_bits.begin() + (it - live.ids.begin()));
+          live.ids.erase(it);
+        };
 
-      // Identical mutation script against both engines: the sharded id
-      // sequence must mirror the single engine's exactly.
-      for (int id : {1, 5, 19, 38}) {
-        ASSERT_TRUE(single->Remove(id).ok());
-        ASSERT_TRUE(sharded->Remove(id).ok());
-      }
-      for (int i = 0; i < 10; ++i) {
-        const Graph& g = (*queries_)[static_cast<size_t>(i)];
-        auto single_id = single->Insert(g);
-        auto sharded_id = sharded->Insert(g);
-        ASSERT_TRUE(single_id.ok());
-        ASSERT_TRUE(sharded_id.ok());
-        EXPECT_EQ(*single_id, *sharded_id);
-      }
-      sharded->Compact();
-      single->Compact();
-      for (int id : {0, 2, 40, 44}) {  // 40/44 were inserted above
-        ASSERT_TRUE(single->Remove(id).ok());
-        ASSERT_TRUE(sharded->Remove(id).ok());
-      }
-      EXPECT_EQ(sharded->Remove(5).code(), StatusCode::kNotFound);  // twice
-      EXPECT_EQ(sharded->Remove(-3).code(), StatusCode::kNotFound);
-      EXPECT_EQ(sharded->Remove(9999).code(), StatusCode::kNotFound);
+        // The id sequence must be the unsharded one: 40, 41, ...
+        for (int id : {1, 5, 19, 38}) remove(id);
+        for (int i = 0; i < 10; ++i) {
+          const Graph& g = (*queries_)[static_cast<size_t>(i)];
+          auto id = sharded->Insert(g);
+          ASSERT_TRUE(id.ok());
+          EXPECT_EQ(*id, 40 + i);
+          live.ids.push_back(*id);
+          live.db_bits.push_back(mapper.Map(g));
+        }
+        sharded->Compact();
+        for (int id : {0, 2, 40, 44}) remove(id);  // 40/44 were inserted
+        EXPECT_EQ(sharded->Remove(5).code(), StatusCode::kNotFound);  // twice
+        EXPECT_EQ(sharded->Remove(-3).code(), StatusCode::kNotFound);
+        EXPECT_EQ(sharded->Remove(9999).code(), StatusCode::kNotFound);
 
-      EXPECT_EQ(sharded->alive_ids(), single->alive_ids());
-      EXPECT_EQ(sharded->num_graphs(), single->num_graphs());
-      for (int k : {0, 3, 1000}) {
-        EXPECT_EQ(sharded->QueryBatch(*queries_, {.k = k}),
-                  single->QueryBatch(*queries_, {.k = k}))
-            << "threads=" << threads << " prefilter=" << prefilter
-            << " k=" << k;
+        EXPECT_EQ(sharded->alive_ids(), live.ids);
+        EXPECT_EQ(sharded->num_graphs(), static_cast<int>(live.ids.size()));
+        // The lossy prefilter is part of the configuration under test, so
+        // with it on the oracle is a fresh 1-shard engine over the live set.
+        auto fresh =
+            ShardedEngine::FromIndex(live, Sharded(1, 1, prefilter));
+        ASSERT_TRUE(fresh.ok());
+        for (int k : {0, 3, 1000}) {
+          EXPECT_EQ(sharded->QueryBatch(*queries_, {.k = k}),
+                    prefilter ? fresh->QueryBatch(*queries_, {.k = k})
+                              : ReferenceBatch(*queries_, live, k))
+              << "k=" << k;
+        }
       }
     }
   }
@@ -173,13 +178,11 @@ TEST_F(ShardedEngineTest, SnapshotReloadsUnderAnyShardCount) {
   const std::vector<Ranking> expected =
       sharded->QueryBatch(*queries_, {.k = 6});
   const std::vector<int> expected_ids = sharded->alive_ids();
-  // The snapshot is shard-count independent: reload as a single engine and
-  // as sharded engines of other counts, all bit-identical.
-  auto single = QueryEngine::Open(path);
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
-  EXPECT_EQ(single->alive_ids(), expected_ids);
-  EXPECT_EQ(single->QueryBatch(*queries_, {.k = 6}), expected);
-  for (int shards : {2, 7}) {
+  EXPECT_EQ(expected,
+            ReferenceBatch(*queries_, sharded->ToPersistedIndex(), 6));
+  // The snapshot is shard-count independent: reload as engines of other
+  // counts (the single-node case included), all bit-identical.
+  for (int shards : {1, 2, 7}) {
     auto reloaded = ShardedEngine::Open(path, Sharded(shards));
     ASSERT_TRUE(reloaded.ok());
     ScopedRole reloaded_writer(&reloaded->writer_role());
@@ -239,8 +242,6 @@ PersistedIndex TieHeavyIndex(int rows) {
 
 TEST(ShardedEngineTieTest, TieHeavyMergePreservesIdOrder) {
   const PersistedIndex index = TieHeavyIndex(40);
-  auto single = QueryEngine::FromIndex(index);
-  ASSERT_TRUE(single.ok());
   const std::vector<std::vector<uint8_t>> probes = {
       {1, 1, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 0}, {1, 1, 1, 1, 1, 1},
       {1, 0, 0, 0, 0, 1},
@@ -253,7 +254,7 @@ TEST(ShardedEngineTieTest, TieHeavyMergePreservesIdOrder) {
       for (const auto& probe : probes) {
         for (int k : {1, 5, 39, 40, 100}) {
           EXPECT_EQ(engine->QueryMapped(probe, {.k = k}),
-                    single->QueryMapped(probe, {.k = k}))
+                    ReferenceTopK(probe, index, k))
               << "shards=" << shards << " threads=" << threads
               << " k=" << k;
         }
@@ -264,40 +265,38 @@ TEST(ShardedEngineTieTest, TieHeavyMergePreservesIdOrder) {
 
 TEST(ShardedEngineTieTest, KLargerThanAnyShardsLiveRows) {
   const PersistedIndex index = TieHeavyIndex(10);
-  auto single = QueryEngine::FromIndex(index);
-  ASSERT_TRUE(single.ok());
   // 7 shards over 10 rows: every shard holds 1-2 rows, far below k.
   auto engine = ShardedEngine::FromIndex(index, Sharded(7));
   ASSERT_TRUE(engine.ok());
   const std::vector<uint8_t> probe = {1, 0, 1, 0, 0, 0};
   for (int k : {8, 10, 50}) {
     const Ranking got = engine->QueryMapped(probe, {.k = k});
-    EXPECT_EQ(got, single->QueryMapped(probe, {.k = k})) << "k=" << k;
+    EXPECT_EQ(got, ReferenceTopK(probe, index, k)) << "k=" << k;
     EXPECT_EQ(got.size(), std::min<size_t>(static_cast<size_t>(k), 10u));
   }
 }
 
 TEST(ShardedEngineTieTest, ShardsEmptiedByRemovalsStillMerge) {
   const PersistedIndex index = TieHeavyIndex(12);
-  auto single = QueryEngine::FromIndex(index);
   auto engine = ShardedEngine::FromIndex(index, Sharded(4));
-  ASSERT_TRUE(single.ok());
   ASSERT_TRUE(engine.ok());
-  ScopedRole single_writer(&single->writer_role());
   ScopedRole engine_writer(&engine->writer_role());
   // Remove every id ≡ 1 and ≡ 2 (mod 4): shards 1 and 2 end up empty.
+  PersistedIndex live;
   for (int id = 0; id < 12; ++id) {
     if (id % 4 == 1 || id % 4 == 2) {
-      ASSERT_TRUE(single->Remove(id).ok());
       ASSERT_TRUE(engine->Remove(id).ok());
+    } else {
+      live.ids.push_back(id);
+      live.db_bits.push_back(index.db_bits[static_cast<size_t>(id)]);
     }
   }
-  EXPECT_EQ(engine->shard(1).num_graphs(), 0);
-  EXPECT_EQ(engine->shard(2).num_graphs(), 0);
+  // Shard of id = id % 4, so no live id left means shards 1 and 2 are empty.
+  EXPECT_EQ(engine->alive_ids(), live.ids);
   const std::vector<uint8_t> probe = {0, 1, 1, 0, 0, 0};
   for (int k : {3, 6, 12}) {
     EXPECT_EQ(engine->QueryMapped(probe, {.k = k}),
-              single->QueryMapped(probe, {.k = k}))
+              ReferenceTopK(probe, live, k))
         << "k=" << k;
   }
 
@@ -347,7 +346,7 @@ TEST(ShardedEngineTieTest, EpochSumsShardMutationsAndFreezeIsStable) {
   const std::string from_frozen =
       ::testing::TempDir() + "/gdim_frozen_snap.idx2";
   ASSERT_TRUE(ShardedEngine::WriteSnapshot(frozen, from_frozen).ok());
-  auto reloaded = QueryEngine::Open(from_frozen);
+  auto reloaded = ShardedEngine::Open(from_frozen);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   std::vector<int> frozen_ids;
   for (const FrozenEngineState& shard : frozen.shards) {
@@ -366,7 +365,7 @@ TEST(ShardedEngineTieTest, EpochSumsShardMutationsAndFreezeIsStable) {
   }
 }
 
-TEST(ShardedEngineTieTest, ToPersistedIndexRoundTripsThroughSingleEngine) {
+TEST(ShardedEngineTieTest, ToPersistedIndexRoundTripsThroughSingleShard) {
   const PersistedIndex index = TieHeavyIndex(12);
   auto engine = ShardedEngine::FromIndex(index, Sharded(3));
   ASSERT_TRUE(engine.ok());
@@ -375,13 +374,17 @@ TEST(ShardedEngineTieTest, ToPersistedIndexRoundTripsThroughSingleEngine) {
   const std::vector<uint8_t> row = {1, 1, 1, 0, 0, 0};
   ASSERT_TRUE(engine->InsertMapped(row).ok());
 
-  auto rebuilt = QueryEngine::FromIndex(engine->ToPersistedIndex());
+  const PersistedIndex persisted = engine->ToPersistedIndex();
+  EXPECT_EQ(persisted.next_id, engine->next_id());
+  auto rebuilt = ShardedEngine::FromIndex(persisted);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   EXPECT_EQ(rebuilt->alive_ids(), engine->alive_ids());
   const std::vector<uint8_t> probe = {1, 1, 0, 0, 0, 1};
   for (int k : {1, 6, 20}) {
     EXPECT_EQ(rebuilt->QueryMapped(probe, {.k = k}),
               engine->QueryMapped(probe, {.k = k}));
+    EXPECT_EQ(engine->QueryMapped(probe, {.k = k}),
+              ReferenceTopK(probe, persisted, k));
   }
 }
 

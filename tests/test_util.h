@@ -5,9 +5,13 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/index_io.h"
+#include "core/mapper.h"
+#include "core/topk.h"
 #include "graph/graph.h"
 #include "graph/graph_utils.h"
 #include "isomorphism/vf2.h"
+#include "server/sharded_engine.h"
 
 namespace gdim {
 namespace testing_util {
@@ -94,6 +98,42 @@ inline int BruteForceMcs(const Graph& a, const Graph& b) {
     if (BruteForceSubgraphIso(sub, big)) best = bits;
   }
   return best;
+}
+
+/// Serving options for `num_shards` shards (1 is the single-node case).
+inline ShardedOptions Sharded(int num_shards, int threads = 0,
+                              bool prefilter = false) {
+  ShardedOptions opts;
+  opts.num_shards = num_shards;
+  opts.serve.threads = threads;
+  opts.serve.containment_prefilter = prefilter;
+  return opts;
+}
+
+/// The serving oracle, computed from core/ alone and sharing no serving
+/// code: the top-k of the byte-vector mapped ranking over `live` (the live
+/// fingerprints in ascending-id order), with positional ids lifted through
+/// live.ids (empty = positional). Negative k answers like 0, as the
+/// engine does.
+inline Ranking ReferenceTopK(const std::vector<uint8_t>& query_bits,
+                             const PersistedIndex& live, int k) {
+  Ranking top = TopK(MappedRanking(query_bits, live.db_bits), std::max(k, 0));
+  if (!live.ids.empty()) {
+    for (RankedResult& r : top) r.id = live.ids[static_cast<size_t>(r.id)];
+  }
+  return top;
+}
+
+/// ReferenceTopK for every query graph, mapped onto live.features.
+inline std::vector<Ranking> ReferenceBatch(const GraphDatabase& queries,
+                                           const PersistedIndex& live,
+                                           int k) {
+  const FeatureMapper mapper(live.features);
+  std::vector<Ranking> out;
+  for (const Graph& q : queries) {
+    out.push_back(ReferenceTopK(mapper.Map(q), live, k));
+  }
+  return out;
 }
 
 }  // namespace testing_util

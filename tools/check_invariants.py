@@ -31,6 +31,12 @@ with one line per violation. Checks:
      stage table in protocol.md's "Query tracing" section must agree
      exactly in both directions — dashboards are built from the docs, and
      a renamed stage silently orphans every panel watching it.
+  7. The identifier QueryEngine (the private shard segment) may appear
+     only in src/serve/query_engine.* and src/server/sharded_engine.* —
+     ShardedEngine is the one engine anything else builds, queries,
+     mutates or snapshots, so a second public engine surface cannot grow
+     back. Comments count: naming the segment elsewhere is the first step
+     toward calling it.
 """
 
 import re
@@ -40,6 +46,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CODE_DIRS = ("src", "bench", "tools", "tests", "examples")
 SYNC_FILES = {"src/common/sync.h", "src/common/sync.cc"}
+SHARD_SEGMENT_FILES = {
+    "src/serve/query_engine.h",
+    "src/serve/query_engine.cc",
+    "src/server/sharded_engine.h",
+    "src/server/sharded_engine.cc",
+}
 
 errors = []
 
@@ -75,6 +87,9 @@ RAW_SYNC = re.compile(
 # and identifiers like `operand(` out.
 RAW_RAND = re.compile(r"(?<![\w.])(?:std::)?s?rand\s*\(")
 
+# ---------------------------------------------------------------- check 7 --
+SHARD_SEGMENT = re.compile(r"\bQueryEngine\b")
+
 # ---------------------------------------------------------------- check 4 --
 NOLINT = re.compile(r"NOLINT(NEXTLINE|BEGIN|END)?\b")
 TSA_ESCAPE = re.compile(
@@ -103,6 +118,7 @@ def lint_file(path):
     text = path.read_text(encoding="utf-8", errors="replace")
     lines = text.splitlines()
     in_sync = rel in SYNC_FILES
+    owns_segment = rel in SHARD_SEGMENT_FILES
     for i, raw in enumerate(lines):
         line = strip_line_comment(raw)
         if not in_sync and RAW_SYNC.search(line):
@@ -113,6 +129,10 @@ def lint_file(path):
             report(rel, i + 1,
                    "rand()/srand() is banned; use common/random.h (Rng) "
                    "so runs stay seeded-deterministic")
+        if not owns_segment and SHARD_SEGMENT.search(raw):
+            report(rel, i + 1,
+                   "QueryEngine is the sharded engine's private segment; "
+                   "use ShardedEngine (server/sharded_engine.h)")
         if NOLINT.search(raw) and not has_justification(lines, i):
             report(rel, i + 1,
                    "NOLINT without an inline justification comment")

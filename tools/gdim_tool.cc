@@ -10,7 +10,7 @@
 //                       [--db=db.gdb --reindex-every=5000]
 //   gdim_tool bench-query --index=index.idx --queries=q.gdb [--repeat=R]
 //   gdim_tool update   --index=index.idx --out=index2.idx
-//                      [--insert=new.gdb --remove=3,17 --compact]
+//                      [--insert=new.gdb --remove=3,17 --compact --format=v3]
 //   gdim_tool convert  --in=index.idx --out=index.idx2 [--format=v2]
 //   gdim_tool stats    --db=db.gdb
 //
@@ -371,14 +371,8 @@ Status ValidateDbAgainstEngine(const ShardedEngine& engine,
                                const GraphDatabase& db) {
   const int p = engine.num_features();
   if (p == 0 || db.empty()) return Status::OK();
-  std::vector<std::pair<int, const uint64_t*>> live;
-  live.reserve(db.size());
-  for (int s = 0; s < engine.num_shards(); ++s) {
-    const auto rows = engine.shard(s).LiveRowWords();
-    live.insert(live.end(), rows.begin(), rows.end());
-  }
-  std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::vector<std::pair<int, const uint64_t*>> live =
+      engine.LiveRowWords();
   const size_t sample =
       std::min<size_t>(live.size(), 25);
   for (size_t j = 0; j < sample; ++j) {
@@ -602,13 +596,38 @@ int RunUpdate(const Flags& flags) {
   const std::string index_path = flags.GetString("index", "");
   const std::string out = flags.GetString("out", "");
   if (index_path.empty() || out.empty()) return Usage();
+  // v3 by default, like SNAPSHOT: the only format that carries the
+  // dimension generation, the epoch and the live graph store.
   Result<IndexFormat> format =
-      ParseIndexFormat(flags.GetString("format", "v2"));
+      ParseIndexFormat(flags.GetString("format", "v3"));
   if (!format.ok()) return Fail(format.status());
-  Result<QueryEngine> engine = QueryEngine::Open(index_path);
+  Result<PackedIndex> packed = ReadIndexFilePacked(index_path);
+  if (!packed.ok()) return Fail(packed.status());
+  // The graph store (STOR) is not engine state: carry it alongside the
+  // engine, in lockstep, so the rewritten snapshot still lets a restarted
+  // server REINDEX without --db.
+  if (packed->meta.has_value() && *format != IndexFormat::kV3Sectioned) {
+    std::fprintf(stderr,
+                 "WARN: only --format=v3 keeps the dimension generation, "
+                 "epoch, IVF layout and graph store of %s\n",
+                 index_path.c_str());
+  }
+  std::optional<PersistedStore> persisted_store = std::move(packed->store);
+  packed->store.reset();
+  Result<ShardedEngine> engine = ShardedEngine::FromPacked(std::move(*packed));
   if (!engine.ok()) return Fail(engine.status());
-  // This single-threaded command is the engine's writer.
+  // This single-threaded command is the engine's and the store's writer.
   ScopedRole writer(&engine->writer_role());
+  GraphStore store;
+  ScopedRole store_writer(&store.writer_role());
+  const bool has_store = persisted_store.has_value();
+  if (has_store) {
+    for (size_t i = 0; i < persisted_store->ids.size(); ++i) {
+      Status put = store.Put(persisted_store->ids[i],
+                             std::move(persisted_store->graphs[i]));
+      if (!put.ok()) return Fail(put);
+    }
+  }
 
   // Removes first, then inserts, so a freshly inserted graph can never be
   // swept up by the same command's --remove list.
@@ -619,6 +638,10 @@ int RunUpdate(const Flags& flags) {
     for (int id : *ids) {
       Status s = engine->Remove(id);
       if (!s.ok()) return Fail(s);
+      if (has_store) {
+        s = store.Remove(id);
+        if (!s.ok()) return Fail(s);
+      }
       ++removed;
     }
   }
@@ -629,9 +652,13 @@ int RunUpdate(const Flags& flags) {
         ReadGraphFile(flags.GetString("insert", ""));
     if (!graphs.ok()) return Fail(graphs.status());
     WallTimer timer;
-    for (const Graph& g : *graphs) {
+    for (Graph& g : *graphs) {
       Result<int> id = engine->Insert(g);
       if (!id.ok()) return Fail(id.status());
+      if (has_store) {
+        Status put = store.Put(*id, std::move(g));
+        if (!put.ok()) return Fail(put);
+      }
       if (first_id < 0) first_id = *id;
       last_id = *id;
       ++inserted;
@@ -646,16 +673,26 @@ int RunUpdate(const Flags& flags) {
   if (flags.GetBool("compact", false)) {
     const int reclaimed = engine->tombstoned_rows();
     engine->Compact();
+    store.Compact();
     std::printf("compacted: reclaimed %d rows, %d live rows sealed\n",
-                reclaimed, engine->base_rows());
+                reclaimed, engine->physical_rows());
   }
-  Status s = engine->Snapshot(out, *format);
+  Status s;
+  if (*format == IndexFormat::kV3Sectioned) {
+    // The snapshot path BatchExecutor takes: freeze the engine, attach the
+    // frozen store, stream both.
+    FrozenShardedState frozen = engine->Freeze();
+    if (has_store) frozen.store = store.Freeze();
+    s = ShardedEngine::WriteSnapshot(frozen, out);
+  } else {
+    s = engine->Snapshot(out, *format);
+  }
   if (!s.ok()) return Fail(s);
   std::printf(
       "updated %s: +%zu -%zu -> %d live graphs x %d dims "
-      "(base %d + delta %d rows, %d tombstoned) -> %s\n",
+      "(%d physical rows, %d tombstoned) -> %s\n",
       index_path.c_str(), inserted, removed, engine->num_graphs(),
-      engine->num_features(), engine->base_rows(), engine->delta_rows(),
+      engine->num_features(), engine->physical_rows(),
       engine->tombstoned_rows(), out.c_str());
   return 0;
 }

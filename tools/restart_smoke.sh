@@ -14,6 +14,11 @@
 #   - the restart log carries no degraded-format WARN (the v1 cold start
 #     in step 1 does WARN — the loud/quiet pair is asserted both ways).
 #
+# Then it rewrites the snapshot offline with `gdim_tool update` (remove,
+# insert, compact) and restarts from the updated file, again with no --db:
+# the dimension generation must be unchanged and REINDEX must still answer
+# OK, i.e. update kept the v3 META and store sections.
+#
 # Usage: tools/restart_smoke.sh [build-dir]   (default: build)
 
 set -euo pipefail
@@ -92,7 +97,16 @@ for g in qs[:3]:
     probes.append(f"QUERY 5 MODE=full {g}")
     probes.append(f"QUERY 5 MODE=approx NPROBE=all {g}")
 
-if mode == "pre":
+if mode == "updated":
+    # The offline update neither reindexes nor drops state: same
+    # generation as the snapshot, and the carried store feeds REINDEX.
+    want = open(state).read().splitlines()
+    kv = stats()
+    assert kv["dimension_generation"] == want[0], (
+        f"update lost the generation: {kv['"'"'dimension_generation'"'"']} != {want[0]}")
+    r = req("REINDEX")
+    assert "generation=" in r, r
+elif mode == "pre":
     snap = sys.argv[5]
     # Churn + swap, twice: the snapshot must carry history no cold build
     # has (two generations selected over two different live sets).
@@ -171,5 +185,17 @@ if grep -q 'WARN' "$TMP/serve2.log"; then
 fi
 
 python3 -c "$CLIENT" post "$SERVER_PORT" "$TMP/q.gdb" "$TMP/pre.txt"
+
+echo "restart_smoke: updating the snapshot offline, restarting from it"
+"$TOOL" update --index="$TMP/snap.idx2" --remove=0 --insert="$TMP/q.gdb" \
+  --compact --out="$TMP/updated.idx"
+start_server "$TMP/serve3.log" --index="$TMP/updated.idx" \
+  --shards=3 --cache-mb=16
+if grep -q 'WARN' "$TMP/serve3.log"; then
+  echo "restart_smoke: unexpected WARN on restart from the updated file" >&2
+  cat "$TMP/serve3.log" >&2
+  exit 1
+fi
+python3 -c "$CLIENT" updated "$SERVER_PORT" "$TMP/q.gdb" "$TMP/pre.txt"
 
 echo "restart_smoke: OK"
